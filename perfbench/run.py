@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload decode-long --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload decode-long --seed 1 --seconds 20 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with nothing instrumented;
 ``--trace 1`` alternates untraced and traced repetitions and reports the
@@ -27,6 +27,7 @@ _START = time.perf_counter()
 import argparse  # noqa: E402
 import gc  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -42,8 +43,8 @@ DIGESTS = HERE / "digests.json"
 SETUP_PROBES = 2
 #: Largest |run-tree self time - decode.run time| / decode.run time.
 RECONCILE_TOLERANCE = 0.01
-#: step_ms_tail is the slowest iteration with this many slower ones.
-TAIL_BEYOND = 10
+#: step_ms_tail is the mean of this share of the slowest iterations.
+TAIL_SHARE = 0.01
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -103,6 +104,22 @@ def nearest_rank(values: list[float], pct: float) -> float:
     return percentile(values, pct) if values else 0.0
 
 
+def tail_mean(values: list[float], share: float) -> float:
+    """Mean of the slowest ``share`` of ``values`` (at least one)."""
+    worst = sorted(values)[-max(1, math.ceil(share * len(values))):]
+    return sum(worst) / len(worst) if worst else 0.0
+
+
+def iteration_medians(by_unit: dict[int, list[list[float]]]) -> list[float]:
+    """Each scheduler iteration's host time, median over the repetitions
+    of its unit (a unit replays the same iterations every time)."""
+    return [
+        statistics.median(times)
+        for reps in by_unit.values()
+        for times in zip(*reps)
+    ]
+
+
 def committed_digests() -> dict[str, Any]:
     if DIGESTS.is_file():
         loaded: dict[str, Any] = json.loads(DIGESTS.read_text())
@@ -159,9 +176,15 @@ def same_rep(workload: Any, index: int, served: Any, reference: Any,
 
 def measure(workload: Any, checked: Any, seconds: float,
             check: Any) -> dict[str, Any]:
-    """Untraced repetitions, round-robin over the units."""
-    rates: list[float] = []
-    steps: list[float] = []
+    """Untraced repetitions, round-robin over the units.
+
+    ``tokens_per_s`` is one pass over every unit: its generated tokens
+    over the sum of each unit's median wall time, so units that got one
+    repetition more than others do not shift it.
+    """
+    tokens: dict[int, int] = {}
+    walls: dict[int, list[float]] = {}
+    by_unit: dict[int, list[list[float]]] = {}
     n_units = len(workload.units)
     deadline = time.perf_counter() + seconds
     i = 0
@@ -174,9 +197,15 @@ def measure(workload: Any, checked: Any, seconds: float,
         served, wall, iterations = rep
         same_rep(workload, index, served, checked.served[index], check,
                  "repetition")
-        rates.append(served.result.total_generated_tokens / wall)
-        steps.extend(iterations)
-    return {"rates": rates, "steps": steps}
+        tokens[index] = served.result.total_generated_tokens
+        walls.setdefault(index, []).append(wall)
+        by_unit.setdefault(index, []).append(iterations)
+    pass_s = sum(median(w) for w in walls.values())
+    return {
+        "tokens_per_s": sum(tokens.values()) / pass_s if pass_s else 0.0,
+        "repetitions": sum(len(w) for w in walls.values()),
+        "steps": iteration_medians(by_unit),
+    }
 
 
 def layer_metrics(tracer: Any, served: Any, untraced: float,
@@ -386,20 +415,20 @@ def main(argv: list[str] | None = None) -> int:
     else:
         run = measure(workload, checked, args.seconds, check)
         values = dict(checked.metrics)
-        values["tokens_per_s"] = median(run["rates"])
-        values["step_ms_p50"] = 1000.0 * nearest_rank(run["steps"], 50.0)
-        steps = sorted(run["steps"])
-        values["step_ms_tail"] = 1000.0 * steps[-min(len(steps),
-                                                     TAIL_BEYOND + 1)]
+        values["tokens_per_s"] = run["tokens_per_s"]
+        steps = run["steps"]
+        values["step_ms_p50"] = 1000.0 * nearest_rank(steps, 50.0)
+        values["step_ms_tail"] = 1000.0 * tail_mean(steps, TAIL_SHARE)
         values["setup_s"] = median([s["setup_s"] for s in setups])
         values["peak_rss_mb"] = (
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         )
         declared = spec["end_to_end"]
         notes.append(
-            f"{len(run['rates'])} repetitions; step_ms over "
-            f"{len(steps)} scheduler iterations (step_ms_tail is their "
-            f"p{100.0 * (1 - TAIL_BEYOND / max(1, len(steps))):.2f}); "
+            f"{run['repetitions']} repetitions; step_ms over the "
+            f"{len(steps)} scheduler iterations of the units, each the "
+            f"median over its unit's repetitions (step_ms_tail is the "
+            f"mean of the slowest {math.ceil(TAIL_SHARE * len(steps))}); "
             f"setup_s median of {len(setups)} cold set-ups"
         )
 
