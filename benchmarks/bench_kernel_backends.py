@@ -5,7 +5,7 @@ long-decode continuous batch through the
 :class:`~repro.core.decode.ContinuousBatchScheduler` with the default
 ``numpy`` backend (one whole-batch gather/MAC launch per phase per
 scheduler step) must beat the pinned ``loopback`` reference backend —
-the pre-kernel per-token Python execution — by **at least 3x
+the pre-kernel per-token Python execution — by **at least 5x
 wall-clock**, while staying bit/cycle/counter-identical (the shared
 harness in :func:`repro.eval.experiments.kernel_backend_throughput`
 raises on any divergence before reporting a single number).
@@ -49,7 +49,7 @@ MODEL = TransformerConfig(
 BATCH_SIZE = 8
 PROMPT_LEN = 16
 MAX_NEW_TOKENS = 192  # long decode: the continuous-batch steady state
-GATE_SPEEDUP = 3.0
+GATE_SPEEDUP = 5.0
 
 
 @pytest.mark.benchmark(group="kernels")

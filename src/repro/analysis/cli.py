@@ -28,7 +28,7 @@ from repro.analysis.rules import ALL_RULES
 
 __all__ = ["add_lint_arguments", "run_from_args", "main"]
 
-DEFAULT_PATHS = ("src", "benchmarks", "examples")
+DEFAULT_PATHS = ("src", "benchmarks", "examples", "perfbench")
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:

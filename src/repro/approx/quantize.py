@@ -19,6 +19,7 @@ generalisation to ``2^k`` beats uses the low ``k`` address bits as the tag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,6 +134,16 @@ class QuantizedPwl:
         slope_raw = self.coeff_format.to_raw(self._quantized.slopes)
         bias_raw = self.coeff_format.to_raw(self._quantized.biases)
         return np.stack([slope_raw, bias_raw], axis=1)
+
+    @cached_property
+    def packed_beats(self) -> tuple[LinkBeat, ...]:
+        """This table's link beats, serialised by :func:`pack_beats` once.
+
+        The table is frozen, so its serialisation never changes; the
+        tuple (of frozen beats) is shared by every overlay that
+        broadcasts this table and cannot be mutated through any of them.
+        """
+        return tuple(pack_beats(self))
 
 
 @dataclass(frozen=True)

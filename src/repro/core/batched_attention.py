@@ -59,11 +59,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.approx.quantize import beat_of_address
+from repro.approx.quantize import QuantizedPwl, beat_of_address
 from repro.approx.table_cache import compiled_table
 from repro.core.config import NovaConfig, resolve_engine_config
 from repro.core.attention import (
@@ -79,14 +78,19 @@ from repro.core.attention import (
 from repro.core.vector_unit import NovaVectorUnit
 from repro.noc.stats import EventCounters
 
-if TYPE_CHECKING:
-    from repro.core.mapper import BroadcastSchedule
-
 __all__ = [
     "AttentionRequest",
     "BatchedAttentionResult",
     "BatchedNovaAttentionEngine",
 ]
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Reject NaN/inf request data before it reaches the fixed-point casts."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = finite.size - int(np.count_nonzero(finite))
+        raise ValueError(f"{name} must be finite, got {bad} NaN/inf entries")
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,8 @@ class AttentionRequest:
     ``x`` is ``(seq, hidden)``; the four weight matrices are
     ``(hidden, hidden)``.  Requests in a batch may differ in sequence
     length (and even hidden size) — the packed lane stream is flat.
+    Every entry of ``x`` and the weights must be finite: a NaN or inf
+    raises ``ValueError`` naming the field.
     """
 
     x: np.ndarray
@@ -121,6 +127,7 @@ class AttentionRequest:
                 "request must have a hidden width >= 1 (got zero-width "
                 f"x of shape {x.shape})"
             )
+        _check_finite("x", x)
         if self.n_heads < 1:
             raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
         if hidden % self.n_heads != 0:
@@ -134,6 +141,7 @@ class AttentionRequest:
                 raise ValueError(
                     f"{name} must have shape ({hidden}, {hidden}), got {w.shape}"
                 )
+            _check_finite(name, w)
 
     @property
     def seq(self) -> int:
@@ -144,6 +152,21 @@ class AttentionRequest:
     def hidden(self) -> int:
         """Hidden width of this request."""
         return self.x.shape[1]
+
+
+@dataclass(frozen=True)
+class _PhaseCosts:
+    """Per-table constants of the sequential-equivalent accounting.
+
+    ``n_beats`` is the table's broadcast beat count, ``pad_beat`` the
+    beat a zero-padded lane selects (its address is the table's segment
+    index of 0.0) and ``per_batch`` the non-zero address-independent
+    NoC events of one lane batch's broadcast.
+    """
+
+    n_beats: int
+    pad_beat: int
+    per_batch: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -224,6 +247,10 @@ class BatchedNovaAttentionEngine:
         self.hop_mm = cfg.hop_mm
         self.n_lanes = cfg.n_lanes
         self._shape = cfg.lane_shape
+        self._phases = {
+            name: self._phase_costs(table)
+            for name, table in self.tables.items()
+        }
 
     # ------------------------------------------------------------------
     # Packed elementwise execution.
@@ -248,13 +275,24 @@ class BatchedNovaAttentionEngine:
             stream.addresses.reshape(-1)[: len(flat)],
         )
 
-    def _schedule_for(self, function: str) -> "BroadcastSchedule":
-        """The (cached) broadcast plan for one function's table."""
-        return self.unit.mapper.schedule(
+    def _phase_costs(self, table: QuantizedPwl) -> _PhaseCosts:
+        """The per-table constants of :meth:`_sequential_request_counters`."""
+        schedule = self.unit.mapper.schedule(
             n_routers=self.n_routers,
             pe_frequency_ghz=self.pe_frequency_ghz,
-            n_pairs=self.tables[function].n_segments,
+            n_pairs=table.n_segments,
             hop_mm=self.hop_mm,
+        )
+        return _PhaseCosts(
+            n_beats=schedule.n_beats,
+            pad_beat=beat_of_address(
+                int(table.segment_index(0.0)), schedule.n_beats
+            ),
+            per_batch=tuple(
+                (event, count)
+                for event, count in schedule.broadcast_event_counts(1).items()
+                if count
+            ),
         )
 
     def _sequential_request_counters(
@@ -269,30 +307,32 @@ class BatchedNovaAttentionEngine:
         engine's accounting exactly, including the zero-padding of each
         request's final lane batch and the address-dependent
         ``tag_match`` count.
+
+        Everything that depends only on the function's table — the beat
+        a zero-padded lane selects and the per-batch broadcast events —
+        is computed once per table at construction (:class:`_PhaseCosts`),
+        so each call is integer arithmetic building one counts dict.
         """
-        counters = EventCounters()
+        counts: dict[str, int] = {}
         lanes = self.n_lanes
         for function, (n_queries, tag_sum) in streams.items():
-            table = self.tables[function]
-            schedule = self._schedule_for(function)
+            phase = self._phases[function]
             n_batches = -(-n_queries // lanes)
             padded = n_batches * lanes
-            pad_sel = beat_of_address(
-                int(table.segment_index(0.0)), schedule.n_beats
-            )
-            counters.add("comparator_eval", padded)
-            counters.add("mac_op", padded)
-            counters.add("pair_capture", padded)
-            counters.add(
-                "tag_match",
-                tag_sum + (padded - n_queries) * pad_sel + padded,
-            )
-            for event, count in schedule.broadcast_event_counts(
-                n_batches
-            ).items():
-                if count:
-                    counters.add(event, count)
-        return counters
+            for event, count in (
+                ("comparator_eval", padded),
+                ("mac_op", padded),
+                ("pair_capture", padded),
+                (
+                    "tag_match",
+                    tag_sum + (padded - n_queries) * phase.pad_beat + padded,
+                ),
+            ):
+                counts[event] = counts.get(event, 0) + count
+            if n_batches:
+                for event, count in phase.per_batch:
+                    counts[event] = counts.get(event, 0) + count * n_batches
+        return EventCounters(counts=counts)
 
     # ------------------------------------------------------------------
     # Batched attention.
@@ -334,7 +374,7 @@ class BatchedNovaAttentionEngine:
             s["n_exp"] = s["shifted"].size
             del s["shifted"]
         exp_out, exp_packed_batches, exp_addr = self._run_packed("exp", exp_flat)
-        exp_n_beats = self._schedule_for("exp").n_beats
+        exp_n_beats = self._phases["exp"].n_beats
         offset = 0
         for s in states:
             size = s["n_exp"]
@@ -353,7 +393,7 @@ class BatchedNovaAttentionEngine:
         recip_out, recip_packed_batches, recip_addr = self._run_packed(
             "reciprocal", recip_flat
         )
-        recip_n_beats = self._schedule_for("reciprocal").n_beats
+        recip_n_beats = self._phases["reciprocal"].n_beats
         offset = 0
         for s in states:
             size = s["mantissa"].size

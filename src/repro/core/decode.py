@@ -911,7 +911,7 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         exp_starts = np.concatenate(([0], np.cumsum(exp_sizes)[:-1]))
         exp_flat = np.concatenate([t.shifted.reshape(-1) for t in tokens])
         exp_out, exp_batches, exp_addr = self._run_packed("exp", exp_flat)
-        exp_n_beats = self._schedule_for("exp").n_beats
+        exp_n_beats = self._phases["exp"].n_beats
         job_elem_starts = exp_starts[first_token]
         job_exp_sizes = np.add.reduceat(exp_sizes, first_token)
         job_exp_tags = np.add.reduceat(
@@ -939,7 +939,7 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         recip_out, recip_batches, recip_addr = self._run_packed(
             "reciprocal", recip_flat
         )
-        recip_n_beats = self._schedule_for("reciprocal").n_beats
+        recip_n_beats = self._phases["reciprocal"].n_beats
         job_recip_sizes = np.add.reduceat(recip_sizes, first_token)
         job_recip_tags = np.add.reduceat(
             beat_of_address(recip_addr, recip_n_beats),

@@ -220,7 +220,7 @@ class NovaNoc:
         n_broadcasts: int,
         tag_matches: np.ndarray,
         pair_captures: np.ndarray,
-    ) -> None:
+    ) -> EventCounters:
         """Closed-form event accounting for fault-free broadcasts.
 
         The vectorised stream path computes outputs by whole-batch table
@@ -241,6 +241,9 @@ class NovaNoc:
         tag_matches, pair_captures:
             Per-router event totals across all ``n_broadcasts`` lookups,
             shape ``(n_routers,)``.
+
+        Returns the non-zero totals charged (NoC plus every router),
+        equal to the :meth:`merged_counters` delta across the call.
         """
         if n_broadcasts < 0:
             raise ValueError(f"n_broadcasts must be >= 0, got {n_broadcasts}")
@@ -252,17 +255,25 @@ class NovaNoc:
                 raise ValueError(
                     f"{name} must have shape ({self.n_routers},), got {arr.shape}"
                 )
+        charged = EventCounters()
         for event, count in self.schedule.broadcast_event_counts(
             n_broadcasts
         ).items():
             if count:
                 self.counters.add(event, count)
+                charged.counts[event] = count
         for router in self.routers:
             router.counters.add("tag_match", int(tag_matches[router.router_id]))
             router.counters.add(
                 "pair_capture", int(pair_captures[router.router_id])
             )
+        for event, totals in (("tag_match", tag_matches),
+                              ("pair_capture", pair_captures)):
+            total = int(totals.sum())
+            if total:
+                charged.counts[event] = total
         self._next_broadcast_id += n_broadcasts
+        return charged
 
     def merged_counters(self) -> EventCounters:
         """Lifetime counters: NoC-level events plus every router's."""

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.approx.quantize import QuantizedPwl, pack_beats
+from repro.approx.quantize import QuantizedPwl
 from repro.core.comparator import ComparatorBank
 from repro.core.config import NovaConfig, preset, warn_legacy_kwargs
 from repro.core.kernels import KernelBackend, resolve_backend
@@ -216,7 +216,7 @@ class NovaVectorUnit:
             )
             for _ in range(config.n_routers)
         ]
-        self.beats = pack_beats(table)
+        self.beats = list(table.packed_beats)
         self.backend: KernelBackend = resolve_backend(config.kernel_backend)
 
     @property
@@ -236,7 +236,16 @@ class NovaVectorUnit:
         untouched; if the new table's segment count changes the beat
         count, the broadcast schedule is re-derived and the buffering
         switches are re-programmed, exactly as the runtime mapper would.
+
+        Each table is serialised once (:attr:`QuantizedPwl.packed_beats`
+        memoises :func:`~repro.approx.quantize.pack_beats` on the frozen
+        table), so a retarget is a swap of references: the config is
+        rebuilt only when the segment count changes, and retargeting to
+        the current table does nothing.  :attr:`beats` is a fresh list,
+        so editing it cannot reach the table's memoised beats.
         """
+        if table is self.table:
+            return
         if table.n_segments != self.table.n_segments:
             schedule = self.mapper.schedule(
                 n_routers=self.n_routers,
@@ -249,11 +258,11 @@ class NovaVectorUnit:
             buffering = set(schedule.buffering_routers)
             for router in self.noc.routers:
                 router.set_buffering(router.router_id in buffering)
+            self.config = dataclasses.replace(
+                self.config, n_segments=table.n_segments
+            )
         self.table = table
-        self.config = dataclasses.replace(
-            self.config, n_segments=table.n_segments
-        )
-        self.beats = pack_beats(table)
+        self.beats = list(table.packed_beats)
         for bank in self.comparators:
             bank.table = table
         for mac in self.macs:
@@ -315,9 +324,13 @@ class NovaVectorUnit:
         simulation (the property the functional-verification tests pin
         down) and the counter totals equal what per-cycle simulation
         accumulates, including the address-dependent ``tag_match`` count.
+        The returned ``counters`` on this path are the very totals the
+        stream charged to the unit's component bags, built once per
+        launch rather than diffed from two lifetime snapshots.
         Pass ``simulate=True`` to drive every batch through the
         cycle-level NoC model instead (the reference path, and the one
-        the fault-injection machinery extends).
+        the fault-injection machinery extends); its ``counters`` are the
+        lifetime diff across the simulation.
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 3:
@@ -332,8 +345,8 @@ class NovaVectorUnit:
             raise ValueError(
                 f"expected batch shape {expected}, got {xs.shape[1:]}"
             )
-        before = self._lifetime_counters()
         if simulate:
+            before = self._lifetime_counters()
             outputs = np.zeros_like(xs)
             for t in range(n_batches):
                 outputs[t] = self.approximate(xs[t]).outputs
@@ -342,9 +355,9 @@ class NovaVectorUnit:
             # beat, with no extra counter charges (the simulation above
             # already accounted every comparator_eval).
             addresses = self.table.segment_index(xs)
+            counters = self._lifetime_counters().diff(before)
         else:
-            outputs, addresses = self._stream_vectorized(xs)
-        counters = self._lifetime_counters().diff(before)
+            outputs, addresses, counters = self._stream_vectorized(xs)
         latency = self.schedule.total_latency_pe_cycles
         return StreamResult(
             outputs=outputs,
@@ -356,7 +369,7 @@ class NovaVectorUnit:
 
     def _stream_vectorized(
         self, xs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, EventCounters]:
         """Whole-stream gather with closed-form event accounting.
 
         Per lookup, a lane whose address selects beat ``b`` performs one
@@ -368,7 +381,9 @@ class NovaVectorUnit:
         The gather/MAC itself and the tag-match reduction run on the
         configured :class:`~repro.core.kernels.KernelBackend`; counter
         charging stays here with the unit that owns the counters
-        (NV006/NV009) — backends are pure array transformers.
+        (NV006/NV009) — backends are pure array transformers.  Returns
+        ``(outputs, addresses, counters)``, where ``counters`` totals
+        every event charged to the component bags by this launch.
         """
         n_batches, n_routers, n_neurons = xs.shape
         outputs, idx = self.backend.table_gather_mac(self.table, xs)
@@ -381,8 +396,13 @@ class NovaVectorUnit:
             self.backend.tag_match_totals(idx, self.schedule.n_beats)
         )
         pair_captures = np.full(n_routers, per_router, dtype=np.int64)
-        self.noc.charge_broadcasts(n_batches, tag_matches, pair_captures)
-        return outputs, idx
+        counters = self.noc.charge_broadcasts(
+            n_batches, tag_matches, pair_captures
+        )
+        lanes = n_routers * per_router
+        counters.counts["comparator_eval"] = lanes
+        counters.counts["mac_op"] = lanes
+        return outputs, idx, counters
 
     def golden_reference(self, x: np.ndarray) -> np.ndarray:
         """The bit-exact functional model the hardware must match."""

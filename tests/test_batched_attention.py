@@ -6,23 +6,31 @@ outputs bit-identical, per-request cycle counts and event counters equal
 to the sequential reference engine.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.approx.quantize import beat_of_address
 from repro.approx.table_cache import (
     clear_table_cache,
     compiled_table,
     table_cache_info,
 )
-from repro.core.attention import NovaAttentionEngine
+from repro.core.attention import NovaAttentionEngine, pack_lane_stream
 from repro.core.batched_attention import (
     AttentionRequest,
     BatchedNovaAttentionEngine,
 )
-from repro.core.config import NovaConfig
+from repro.core.config import PRESETS, NovaConfig
 from repro.core.mapper import NovaMapper
+from repro.core.vector_unit import NovaVectorUnit
 from repro.workloads.bert import bert_attention_batch
-from repro.workloads.transformer import TransformerConfig, attention_request
+from repro.workloads.transformer import (
+    TransformerConfig,
+    attention_request,
+    decode_request,
+)
 
 GEOMETRY = NovaConfig(
     n_routers=2, neurons_per_router=16, pe_frequency_ghz=1.4, hop_mm=0.5,
@@ -180,6 +188,87 @@ class TestScheduleCache:
         assert sequential.units["exp"].schedule is batched.unit.schedule
 
 
+#: Every Table II preset plus a line too long for one NoC cycle, so the
+#: per-batch events include non-zero ``register_write`` charges.
+ACCOUNTING_GEOMETRIES = [PRESETS[name] for name in sorted(PRESETS)] + [
+    NovaConfig(n_routers=25, neurons_per_router=2, pe_frequency_ghz=0.75)
+]
+
+
+@pytest.fixture(scope="module", params=ACCOUNTING_GEOMETRIES,
+                ids=lambda cfg: f"{cfg.n_routers}x{cfg.neurons_per_router}")
+def geometry_engine(request):
+    return BatchedNovaAttentionEngine(request.param)
+
+
+class TestPerTableAccounting:
+    """The per-table constants computed once at construction."""
+
+    def test_phase_costs_equal_a_fresh_recompute(self, geometry_engine):
+        engine = geometry_engine
+        cfg = engine.config
+        for name, table in engine.tables.items():
+            schedule = NovaMapper().schedule(
+                n_routers=cfg.n_routers,
+                pe_frequency_ghz=cfg.pe_frequency_ghz,
+                n_pairs=table.n_segments,
+                hop_mm=cfg.hop_mm,
+            )
+            phase = engine._phases[name]
+            assert phase.n_beats == schedule.n_beats
+            assert phase.pad_beat == beat_of_address(
+                int(table.segment_index(0.0)), schedule.n_beats
+            )
+            assert dict(phase.per_batch) == {
+                event: count
+                for event, count in schedule.broadcast_event_counts(1).items()
+                if count
+            }
+
+    def test_exp_pads_select_a_non_zero_beat(self, geometry_engine):
+        # a zero-padded exp lane addresses the table's top segment, so
+        # the padding's tag_match term is exercised, not multiplied by 0
+        assert geometry_engine._phases["exp"].pad_beat > 0
+
+    def test_closed_form_equals_dedicated_padded_streams(
+        self, geometry_engine
+    ):
+        engine = geometry_engine
+        lanes = engine.n_lanes
+        rng = np.random.default_rng(4)
+        inputs = {
+            "exp": -rng.exponential(2.0, 2 * lanes + 3),
+            "reciprocal": rng.uniform(1.0, 2.0, lanes - 1),
+        }
+        streams, expected = {}, None
+        for name, values in inputs.items():
+            assert len(values) % lanes  # the last lane batch is padded
+            unit = NovaVectorUnit(engine.tables[name], engine.config)
+            batches, _ = pack_lane_stream(values, engine._shape)
+            dedicated = unit.run_stream(batches, simulate=True)
+            real = dedicated.addresses.reshape(-1)[: len(values)]
+            tag_sum = int(
+                beat_of_address(real, engine._phases[name].n_beats).sum()
+            )
+            streams[name] = (len(values), tag_sum)
+            assert (
+                engine._sequential_request_counters(
+                    {name: streams[name]}
+                ).as_dict()
+                == dedicated.counters.as_dict()
+            )
+            expected = (
+                dedicated.counters
+                if expected is None
+                else expected.merge(dedicated.counters)
+            )
+        assert expected is not None
+        assert (
+            engine._sequential_request_counters(streams).as_dict()
+            == expected.as_dict()
+        )
+
+
 class TestAttentionRequest:
     def test_builder_produces_valid_request(self):
         config = TransformerConfig(
@@ -209,6 +298,38 @@ class TestAttentionRequest:
             AttentionRequest(x=good, wq=w, wk=w, wv=w, wo=w, n_heads=3)
         with pytest.raises(ValueError):
             AttentionRequest(x=good, wq=w, wk=w, wv=w, wo=w, n_heads=0)
+
+    def test_nan_in_x_rejected(self):
+        w = np.zeros((8, 8))
+        x = np.zeros((4, 8))
+        x[2, 5] = np.nan
+        with pytest.raises(ValueError, match="x must be finite"):
+            AttentionRequest(x=x, wq=w, wk=w, wv=w, wo=w, n_heads=2)
+
+    def test_inf_in_weight_rejected(self):
+        w = np.zeros((8, 8))
+        wq = w.copy()
+        wq[0, 0] = np.inf
+        with pytest.raises(ValueError, match="wq must be finite"):
+            AttentionRequest(x=np.zeros((4, 8)), wq=wq, wk=w, wv=w, wo=w,
+                             n_heads=2)
+
+    def test_replace_injecting_nan_rejected(self):
+        # validation runs on every construction path, including the
+        # frozen-dataclass copy DecodeRequest inherits
+        req = decode_request(
+            TransformerConfig("toy", layers=1, hidden=8, heads=2,
+                              intermediate=16, seq_len=8, causal=True),
+            prompt_len=4, max_new_tokens=2, seed=0,
+        )
+        x = req.x.copy()
+        x[-1, 0] = np.nan
+        with pytest.raises(ValueError, match="x must be finite"):
+            dataclasses.replace(req, x=x)
+        wo = req.wo.copy()
+        wo[1, 1] = -np.inf
+        with pytest.raises(ValueError, match="wo must be finite"):
+            dataclasses.replace(req, wo=wo)
 
     def test_batch_builder_validates(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from repro.approx.functions import get_function
 from repro.approx.nnlut_mlp import train_nnlut_mlp
 from repro.approx.pwl import PiecewiseLinear
-from repro.approx.quantize import QuantizedPwl
+from repro.approx.quantize import QuantizedPwl, pack_beats
 from repro.core.config import NovaConfig
 from repro.core.vector_unit import NovaVectorUnit
 
@@ -195,6 +195,59 @@ class TestRetarget:
         assert unit.schedule.n_beats == 1
         x = np.random.default_rng(11).normal(0, 2, size=(4, 8))
         assert np.array_equal(unit.approximate(x).outputs, t8.evaluate(x))
+
+    def test_round_trip_restores_the_serialised_beats(self):
+        unit = make_unit()
+        gelu = unit.table
+        spec = get_function("exp")
+        exp8 = QuantizedPwl(PiecewiseLinear.fit(spec.fn, spec.domain, 8))
+        unit.retarget(exp8)
+        assert unit.beats == pack_beats(exp8)
+        unit.retarget(gelu)
+        assert unit.beats == pack_beats(gelu)
+        assert unit.schedule.n_beats == len(unit.beats) == 2
+
+    def test_fresh_table_never_reuses_old_beats(self):
+        # memoised per table object: a new table with the same segment
+        # count (even one that reuses a dropped table's id) is serialised
+        # from its own coefficients
+        unit = make_unit()
+        for name in ("exp", "tanh", "sigmoid", "exp"):
+            spec = get_function(name)
+            fresh = QuantizedPwl(PiecewiseLinear.fit(spec.fn, spec.domain, 16))
+            unit.retarget(fresh)
+            assert unit.table is fresh
+            assert unit.beats == pack_beats(fresh)
+            del fresh
+
+    def test_retarget_to_current_table_is_a_no_op(self):
+        unit = make_unit()
+        state = (unit.table, unit.config, unit.schedule, unit.beats)
+        unit.retarget(unit.table)
+        after = (unit.table, unit.config, unit.schedule, unit.beats)
+        assert all(a is b for a, b in zip(after, state))
+
+    def test_config_rebuilt_only_when_segment_count_changes(self):
+        unit = make_unit(n_segments=16)
+        config = unit.config
+        spec = get_function("exp")
+        unit.retarget(QuantizedPwl(PiecewiseLinear.fit(spec.fn, spec.domain, 16)))
+        assert unit.config is config
+        unit.retarget(QuantizedPwl(PiecewiseLinear.fit(spec.fn, spec.domain, 8)))
+        assert unit.config.n_segments == 8
+        assert unit.config == config.replace(n_segments=8)
+
+    def test_memoised_beats_cannot_be_mutated_through_the_unit(self):
+        unit = make_unit()
+        table = unit.table
+        pristine = pack_beats(table)
+        unit.beats[0] = unit.beats[1]
+        unit.beats.append(unit.beats[0])
+        assert list(table.packed_beats) == pristine
+        with pytest.raises(TypeError):
+            table.packed_beats[0] = pristine[1]
+        other = NovaVectorUnit(table, unit.config)
+        assert other.beats == pristine
 
     def test_retarget_preserves_counters(self):
         unit = make_unit()

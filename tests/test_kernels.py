@@ -148,6 +148,44 @@ class TestStreamEquivalence:
         assert np.array_equal(vec.addresses, sim.addresses)
         assert vec.counters.as_dict() == sim.counters.as_dict()
 
+    @pytest.mark.parametrize("backend", ["numpy", "loopback"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_property_stream_counters_equal_lifetime_delta(
+        self, backend, data
+    ):
+        # the vectorised path reports the totals it charged instead of
+        # diffing two lifetime snapshots; both must agree exactly
+        cfg = data.draw(
+            st.sampled_from([
+                SMALL,
+                NovaConfig(n_routers=3, neurons_per_router=5,
+                           pe_frequency_ghz=0.5),
+                NovaConfig(n_routers=25, neurons_per_router=2,
+                           pe_frequency_ghz=0.75),
+            ]),
+            label="geometry",
+        ).replace(kernel_backend=backend)
+        n_segments = data.draw(st.sampled_from([8, 16, 32]), label="segs")
+        n_batches = data.draw(st.integers(1, 5), label="n_batches")
+        xs = data.draw(
+            hnp.arrays(
+                np.float64,
+                (n_batches, cfg.n_routers, cfg.neurons_per_router),
+                elements=st.floats(
+                    -20.0, 20.0, allow_nan=False, allow_infinity=False
+                ),
+            ),
+            label="xs",
+        )
+        unit = make_unit(cfg, n_segments)
+        before = unit._lifetime_counters()
+        stream = unit.run_stream(xs)
+        assert (
+            stream.counters.as_dict()
+            == unit._lifetime_counters().diff(before).as_dict()
+        )
+
     def test_simulate_path_populates_addresses(self):
         # Satellite regression: the cycle-simulated path used to leave
         # StreamResult.addresses as None, forcing consumers to branch.
