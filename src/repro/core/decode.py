@@ -38,20 +38,31 @@ Token-by-token decode, the packed causal prefill and the continuous
 batcher all produce **bit-identical** probabilities and outputs for the
 same causal sequence.  This holds by construction, for the same reason
 the batched engine matches the sequential engine: there is a single copy
-of every numerically sensitive step.  Per token, both paths run
+of every numerically sensitive step.  Per token, every path runs
 
-1. :func:`project_token` — the token's q/k/v projections (vector-matrix,
-   the decode-granularity GEMM),
+1. :func:`project_token` — the token's q/k/v projections as one
+   vector-matrix product per row.  The prefill projects its whole
+   prompt in one call on an ``(n, hidden)`` stack; a decode step is the
+   same call with ``n = 1``.  Both run ``np.matmul(x[:, None, :], w)``,
+   a stack of singleton-row products that numpy executes as the same
+   per-row GEMV as ``x_t @ w`` (never an ``(n, hidden) @ w`` GEMM,
+   whose blocked kernel rounds differently),
 2. :func:`scores_for_query` — scaled dot-products against the cached
-   keys (same cache layout, hence same strides, in every path),
+   keys (every path presents each head's keys as an ``(L, head_dim)``
+   matrix with row stride ``head_dim``, hence the same BLAS call),
 3. the hardware exponential (elementwise through the shared table — the
    output of each query is independent of how queries are packed into
    lane batches),
 4. :func:`~repro.core.attention.softmax_reduction` /
    :func:`~repro.core.attention.assemble_probabilities` on the token's
-   own ``(heads, kv_len)`` row, and
-5. :func:`context_for_query` — the context GEMV over a contiguous
-   snapshot of the cached values.
+   own ``(heads, kv_len)`` row (batched only with rows of the same
+   length — never zero-padded to a common one), and
+5. :func:`context_for_query` — the context GEMV over the token's
+   ``(heads, kv_len, head_dim)`` values, again with row stride
+   ``head_dim`` per head: a decode step reads a snapshot of its cache,
+   while the prefill reads views of its own projected rows (the rows
+   the cache stores are float64 copies of exactly those rows, and
+   adopted prefix blocks hold bit-identical ones by content key).
 
 Cycle/counter accounting mirrors the batched engine: each
 prefill/decode *job* reports the sequential-equivalent cost a dedicated
@@ -70,6 +81,8 @@ steps by the test suite).
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -141,6 +154,10 @@ class SequenceMeta:
     * ``tenant`` — fairness/rate-limit bucket,
     * ``deadline`` — absolute virtual-cycle deadline for the *finish*
       of the request (policy- and metrics-interpreted), or ``None``.
+
+    ``arrival`` must be finite and ``deadline`` must not be NaN (an
+    infinite deadline never expires); either raises ``ValueError``
+    naming the field.
     """
 
     arrival: float = 0.0
@@ -149,6 +166,12 @@ class SequenceMeta:
     deadline: float | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival):
+            raise ValueError(
+                f"arrival must be a finite virtual cycle, got {self.arrival}"
+            )
+        if self.deadline is not None and math.isnan(self.deadline):
+            raise ValueError("deadline must be a virtual cycle, got nan")
         if self.arrival < 0.0:
             raise ValueError(f"arrival must be >= 0, got {self.arrival}")
         if self.deadline is not None and self.deadline <= self.arrival:
@@ -376,6 +399,10 @@ class DecodeRequest(AttentionRequest):
       oldest cache entry instead of overflowing),
     * ``causal`` — decode is only defined for causal attention; the
       engines reject ``causal=False`` requests.
+
+    The three budgets must be integers (numpy integers included): a
+    ``bool`` or a non-integral value raises ``TypeError`` naming the
+    field.
     """
 
     max_new_tokens: int = 0
@@ -385,6 +412,17 @@ class DecodeRequest(AttentionRequest):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        for name in ("max_new_tokens", "max_seq_len", "window"):
+            value = getattr(self, name)
+            if value is None and name != "max_new_tokens":
+                continue
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise TypeError(
+                    f"{name} must be an integer, got "
+                    f"{type(value).__name__} {value!r}"
+                )
         if self.max_new_tokens < 0:
             raise ValueError(
                 f"max_new_tokens must be >= 0, got {self.max_new_tokens}"
@@ -427,30 +465,40 @@ class DecodeRequest(AttentionRequest):
 #
 # As in repro.core.attention: the decode-vs-prefill (and one-at-a-time
 # vs continuously-batched) bit-exactness contract holds by construction
-# only because there is a single copy of each step, operating on the
-# same shapes in every path.
+# only because there is a single copy of each step, and every path hands
+# it operands of the same per-row layout.  Two forms of batching keep
+# that layout and are allowed: a stack of singleton-row matmuls
+# (``np.matmul(x[:, None, :], w)`` runs one GEMV per row, like
+# ``x_t @ w``), and strided views whose per-head matrices have the same
+# row stride as a contiguous snapshot.  Two are not: an
+# ``(n, hidden) @ w`` GEMM, and zero-padding ragged rows to one length;
+# both change the last bits.
 # ----------------------------------------------------------------------
 
 
 def project_token(
-    x_t: np.ndarray,
+    x: np.ndarray,
     wq: np.ndarray,
     wk: np.ndarray,
     wv: np.ndarray,
     n_heads: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One token's q/k/v projections, split by head.
+    """q/k/v projections of one token or a stack of tokens, split by head.
 
-    ``x_t`` is ``(hidden,)``; returns ``(q, k, v)`` each of shape
-    ``(n_heads, head_dim)``.  This vector-matrix form is the decode
-    granularity; the causal prefill uses it too so that every path
-    produces bit-identical projections.
+    ``x`` is one token ``(hidden,)`` or a stack ``(n, hidden)``; returns
+    ``(q, k, v)`` each of shape ``(n_heads, head_dim)`` or
+    ``(n, n_heads, head_dim)``.  Every row is its own vector-matrix
+    product (``np.matmul`` over singleton rows), so a stacked call is
+    bit-identical to ``n`` single-token calls: the causal prefill
+    projects its prompt in one call and a decode step projects one
+    token, through the same arithmetic.
     """
-    hidden = x_t.shape[0]
-    head_dim = hidden // n_heads
-    q = (x_t @ wq).reshape(n_heads, head_dim)
-    k = (x_t @ wk).reshape(n_heads, head_dim)
-    v = (x_t @ wv).reshape(n_heads, head_dim)
+    hidden = x.shape[-1]
+    rows = x.reshape(-1, 1, hidden)
+    shape = (*x.shape[:-1], n_heads, hidden // n_heads)
+    q = np.matmul(rows, wq).reshape(shape)
+    k = np.matmul(rows, wk).reshape(shape)
+    v = np.matmul(rows, wv).reshape(shape)
     return q, k, v
 
 
@@ -622,19 +670,25 @@ class _TokenPlan:
         self._kv_len = kv_len
 
     def take_values(self) -> np.ndarray:
-        """The contiguous ``(heads, kv_len, head_dim)`` value snapshot
-        this token attends to.
+        """The ``(heads, kv_len, head_dim)`` values this token attends to.
 
-        Windowed caches evict between appends, so their snapshot is
-        copied eagerly at plan time.  Append-only caches
-        (``window=None``) never mutate rows ``< kv_len`` between
-        planning and execution (jobs always execute in the same step
-        they were planned), so the copy is deferred to use — one
-        ``O(kv_len)`` allocation live at a time instead of
-        ``O(prompt_len^2)`` held across a whole prefill job.  Both
-        forms produce byte-identical arrays — via
-        ``values_snapshot`` on either the contiguous or the paged
-        cache — so the bit-exactness contract is unaffected.
+        Whatever the source, each head's ``(kv_len, head_dim)`` matrix
+        has row stride ``head_dim``, so the context GEMV is the same
+        BLAS call in every path.  Three sources, by how the cache can
+        change between planning and execution:
+
+        * a prefill token holds a view of its prompt's projected values
+          (never mutated; the rows the cache stores are float64 copies
+          of them, and adopted prefix blocks hold bit-identical rows);
+        * a windowed decode token holds an eager snapshot copied at plan
+          time, because a later append may evict and shift rows;
+        * an append-only decode token defers the copy to use: rows
+          ``< kv_len`` never change between planning and execution (jobs
+          always execute in the step they were planned), so only one
+          ``O(kv_len)`` snapshot is live at a time.
+
+        Snapshots come from ``values_snapshot`` on either the contiguous
+        or the paged cache; both return byte-identical arrays.
         """
         if self._values is not None:
             return self._values
@@ -643,6 +697,17 @@ class _TokenPlan:
     def release(self) -> None:
         self.numer = self.shifted = None
         self._values = self._cache = None
+
+
+def _gather_ranges(
+    flat: np.ndarray, starts: np.ndarray, members: list[int], size: int
+) -> np.ndarray:
+    """``flat[starts[i] : starts[i] + size]`` for every ``i`` in
+    ``members``, concatenated (a lone member's range is a plain slice)."""
+    if len(members) == 1:
+        start = int(starts[members[0]])
+        return flat[start : start + size]
+    return flat[starts[members][:, None] + np.arange(size)]
 
 
 class _Job:
@@ -669,14 +734,14 @@ class _JobResult:
         self,
         job: _Job,
         probabilities: list[np.ndarray],
-        outputs: list[np.ndarray],
+        outputs: np.ndarray,
         vector_cycles: int,
         nonlinear_queries: int,
         counters: EventCounters,
     ) -> None:
         self.job = job
         self.probabilities = probabilities  # list[(heads, kv_len)]
-        self.outputs = outputs              # list[(hidden,)]
+        self.outputs = outputs              # (n_tokens, hidden)
         self.vector_cycles = vector_cycles
         self.nonlinear_queries = nonlinear_queries
         self.counters = counters
@@ -851,15 +916,47 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         return plan
 
     def _plan_prefill(self, state: DecodeState) -> _Job:
-        """Stage the whole prompt as one job (packed hardware streams)."""
-        if state.position != 0 or state.cache.length != 0:
+        """Stage the whole prompt as one job (packed hardware streams).
+
+        The prompt is planned at once rather than token by token: one
+        stacked :func:`project_token` call, then one pass over the rows
+        in prompt order.  Each row is appended to the cache, so a dry
+        block pool raises :class:`~repro.core.paging.BlockPoolExhausted`
+        at the same row, with the same pool state, as a row-by-row plan,
+        and windowed eviction moves the span exactly as it does for
+        decode steps.  The row then scores and attends over views of the
+        projected keys and values covering the cache's live span instead
+        of gathering that span back out of the cache: the cache holds
+        bit-identical rows, and the views have the same per-head row
+        stride as a gathered copy (see the module docstring).
+        """
+        cache = state.cache
+        if state.position != 0 or cache.length != 0:
             raise RuntimeError(
                 "prefill must run on a fresh DecodeState (position "
-                f"{state.position}, {state.cache.length} cached tokens)"
+                f"{state.position}, {cache.length} cached tokens)"
             )
-        tokens = [
-            self._plan_token(state, row) for row in state.request.x
-        ]
+        req = state.request
+        q, k, v = project_token(req.x, req.wq, req.wk, req.wv, req.n_heads)
+        # (heads, prompt_len, head_dim), contiguous: row t of head h is
+        # the row the cache stores for token t.
+        keys = np.ascontiguousarray(k.transpose(1, 0, 2))
+        values = np.ascontiguousarray(v.transpose(1, 0, 2))
+        tokens: list[_TokenPlan] = []
+        for t in range(req.seq):
+            cache.append(k[t], v[t])
+            lo = t + 1 - cache.length
+            tokens.append(
+                _TokenPlan(
+                    position=state.position,
+                    span_start=cache.start_position,
+                    shifted=shift_scores(
+                        scores_for_query(q[t], keys[:, lo : t + 1])
+                    ),
+                    values=values[:, lo : t + 1],
+                )
+            )
+            state.position += 1
         return _Job(state, "prefill", tokens)
 
     def _plan_step(self, state: DecodeState, x_t: np.ndarray) -> _Job:
@@ -921,10 +1018,9 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         # group id -> (token indices, batched numerators, exponents)
         group_states: list[tuple[list[int], np.ndarray, np.ndarray]] = []
         for shape, members in shape_groups.items():
-            size = int(np.prod(shape))
-            gathered = exp_out[
-                exp_starts[members][:, None] + np.arange(size)
-            ].reshape(len(members), *shape)
+            gathered = _gather_ranges(
+                exp_out, exp_starts, members, math.prod(shape)
+            ).reshape(len(members), *shape)
             numer, mantissa, exponent = softmax_reduction(gathered)
             for pos, i in enumerate(members):
                 tokens[i].shifted = mantissa[pos]  # reuse: the mantissas
@@ -948,26 +1044,32 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
 
         token_probs: list[np.ndarray | None] = [None] * len(tokens)
         for members, numer, exponent in group_states:
-            n_mantissa = int(recip_sizes[members[0]])
-            inv = recip_out[
-                recip_starts[members][:, None] + np.arange(n_mantissa)
-            ].reshape(len(members), *exponent.shape[1:])
+            inv = _gather_ranges(
+                recip_out, recip_starts, members,
+                int(recip_sizes[members[0]]),
+            ).reshape(exponent.shape)
             probs = assemble_probabilities(numer, inv, exponent)
             for pos, i in enumerate(members):
                 token_probs[i] = probs[pos]
 
         # Host assembly: the context GEMVs stay per token (each attends
-        # to its own value snapshot), as does result wrapping.
+        # to its own values); the output projection is one stacked
+        # singleton-row matmul per job.
         results: list[_JobResult] = []
         for jnum, job in enumerate(jobs):
-            probabilities, outputs = [], []
+            request = job.state.request
+            first = int(first_token[jnum])
+            probabilities: list[np.ndarray] = []
+            contexts = np.empty((len(job.tokens), 1, request.hidden))
             for knum, token in enumerate(job.tokens):
-                probs = token_probs[int(first_token[jnum]) + knum]
+                probs = token_probs[first + knum]
                 assert probs is not None
-                context = context_for_query(probs, token.take_values())
                 probabilities.append(probs)
-                outputs.append(context @ job.state.request.wo)
+                contexts[knum, 0] = context_for_query(
+                    probs, token.take_values()
+                )
                 token.release()
+            outputs = np.matmul(contexts, request.wo)[:, 0]
             n_exp = int(job_exp_sizes[jnum])
             n_recip = int(job_recip_sizes[jnum])
             results.append(
@@ -1006,7 +1108,7 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
             start = token.span_start
             probabilities[:, token.position, start : start + span] = probs
         return CausalPrefillResult(
-            outputs=np.stack(result.outputs),
+            outputs=result.outputs,
             probabilities=probabilities,
             vector_cycles=result.vector_cycles,
             nonlinear_queries=result.nonlinear_queries,

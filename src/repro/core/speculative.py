@@ -1142,7 +1142,9 @@ class SpeculativeDecodeEngine:
             n_exp = heads * kv_len
             steps.append(
                 SpeculativeStepResult(
-                    output=outputs[n.token_index],
+                    # a copy: a row view would keep the whole pass's
+                    # output matrix alive for the life of the result
+                    output=outputs[n.token_index].copy(),
                     probabilities=probs,
                     position=tokens[n.token_index].position,
                     kv_length=kv_len,

@@ -51,8 +51,8 @@ class ServingRequest:
     the front door assigns it on :meth:`FrontDoor.submit` (traces
     built by :mod:`repro.serving.arrivals` number themselves).
     ``arrival``/``deadline`` are virtual cycles; validation matches
-    :class:`~repro.core.decode.SequenceMeta` (non-negative arrival,
-    deadline strictly after it).
+    :class:`~repro.core.decode.SequenceMeta` (finite, non-negative
+    arrival; a non-NaN deadline strictly after it).
     """
 
     request: DecodeRequest

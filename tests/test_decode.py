@@ -150,6 +150,49 @@ class TestDecodeRequest:
         with pytest.raises(ValueError, match="window"):
             DecodeRequest(**kwargs, max_seq_len=4, window=8)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_new_tokens", 2.5),
+            ("max_new_tokens", True),
+            ("max_new_tokens", 3.0),
+            ("max_new_tokens", "3"),
+            ("max_seq_len", 16.0),
+            ("max_seq_len", False),
+            ("window", 4.5),
+            ("window", True),
+        ],
+    )
+    def test_non_integral_budgets_raise_type_error(self, field, value):
+        """A bool or non-integral budget fails at construction with a
+        TypeError naming the field (2.5 used to fail late inside
+        generate; True was silently served as 1)."""
+        req = toy_request()
+        kwargs = dict(
+            x=req.x, wq=req.wq, wk=req.wk, wv=req.wv, wo=req.wo,
+            n_heads=req.n_heads, max_new_tokens=3,
+        )
+        kwargs[field] = value
+        with pytest.raises(TypeError, match=field):
+            DecodeRequest(**kwargs)
+
+    def test_numpy_integer_budgets_are_accepted(self):
+        req = toy_request()
+        bare = DecodeRequest(
+            x=req.x, wq=req.wq, wk=req.wk, wv=req.wv, wo=req.wo,
+            n_heads=req.n_heads, max_new_tokens=np.int64(3),
+            max_seq_len=np.int32(16), window=np.uint8(6),
+        )
+        assert bare.capacity == 6
+        plain = DecodeRequest(
+            x=req.x, wq=req.wq, wk=req.wk, wv=req.wv, wo=req.wo,
+            n_heads=req.n_heads, max_new_tokens=3, max_seq_len=16, window=6,
+        )
+        engine = NovaDecodeEngine(SMALL)
+        assert np.array_equal(
+            engine.generate(bare).generated, engine.generate(plain).generated
+        )
+
     def test_decode_request_needs_a_causal_model(self):
         with pytest.raises(ValueError, match="causal"):
             decode_request(toy_model(causal=False))

@@ -186,6 +186,36 @@ class TestFrontDoor:
         with pytest.raises(ValueError, match="deadline"):
             ServingRequest(request=toy_request(), arrival=5.0, deadline=5.0)
 
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("arrival", dict(arrival=float("nan"))),
+            ("arrival", dict(arrival=float("inf"))),
+            ("arrival", dict(arrival=np.float64("nan"))),
+            ("deadline", dict(deadline=float("nan"))),
+            ("deadline", dict(arrival=3.0, deadline=float("nan"))),
+        ],
+    )
+    def test_non_finite_times_are_rejected(self, field, kwargs):
+        """A NaN/inf arrival or a NaN deadline raises ValueError naming
+        the field, at the envelope and at the front door, instead of
+        reaching the scheduler (NaN wedged it; inf poisoned the report
+        with infinite TTFTs)."""
+        with pytest.raises(ValueError, match=field):
+            ServingRequest(request=toy_request(), **kwargs)
+        door = FrontDoor(NovaDecodeEngine(SMALL))
+        with pytest.raises(ValueError, match=field):
+            door.submit(toy_request(), **kwargs)
+        assert door.pending == ()
+
+    def test_infinite_deadline_is_accepted(self):
+        """inf is a well-ordered 'never expires' deadline; only NaN is
+        rejected."""
+        door = FrontDoor(NovaDecodeEngine(SMALL))
+        door.submit(toy_request(), arrival=2.0, deadline=float("inf"))
+        report = door.serve()
+        assert report.n_requests == 1
+
     def test_unknown_policy_name_raises_at_construction(self):
         with pytest.raises(KeyError, match="available"):
             FrontDoor(NovaDecodeEngine(SMALL), policy="lifo")
