@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,20 @@ __all__ = [
 
 #: Pairs broadcast per NoC beat — fixed by the 257-bit link width.
 PAIRS_PER_BEAT = 8
+
+
+class _FoldedTable(NamedTuple):
+    """A :class:`QuantizedPwl`'s evaluation constants, derived once."""
+
+    in_low: float
+    in_high: float
+    in_scale: float
+    cuts: np.ndarray
+    slopes: np.ndarray
+    biases: np.ndarray
+    out_scale: float
+    out_min_raw: float
+    out_max_raw: float
 
 
 @dataclass(frozen=True)
@@ -103,6 +118,36 @@ class QuantizedPwl:
         """Comparator model on the quantised input and cuts."""
         return self.lookup(x)[1]
 
+    @cached_property
+    def _folded(self) -> _FoldedTable:
+        """The constants :meth:`lookup` and :meth:`evaluate` run on.
+
+        The table is frozen, so the formats' LSBs and raw bounds and the
+        coefficient arrays are derived once, and the input format's
+        saturation is folded into the domain clamp: clamping ``x`` to
+        the domain bounds *each saturated to the input format's range*
+        leaves ``rint(x / lsb)`` inside the raw range, and equals the
+        raw code that clamping to the domain and then saturating gives
+        (``rint(x / lsb)`` is monotone; ``±inf`` and NaN included).
+        """
+        low, high = self._quantized.domain
+        fin, fout = self.input_format, self.output_format
+
+        def saturated(value: float) -> float:
+            return float(min(max(value, fin.min_value), fin.max_value))
+
+        return _FoldedTable(
+            in_low=saturated(low),
+            in_high=saturated(high),
+            in_scale=fin.scale,
+            cuts=self._quantized.cuts,
+            slopes=self._quantized.slopes,
+            biases=self._quantized.biases,
+            out_scale=fout.scale,
+            out_min_raw=float(fout.min_raw),
+            out_max_raw=float(fout.max_raw),
+        )
+
     def lookup(self, x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
         """Quantise and address the whole input in one vectorised pass.
 
@@ -112,20 +157,40 @@ class QuantizedPwl:
         gather over an entire request batch replaces per-PE-cycle Python
         iteration — and it is shared with :meth:`evaluate` so the fast
         path cannot drift from the golden model.
+
+        The values are exactly ``input_format.quantize(quantized_pwl.
+        clamp(x))`` and ``quantized_pwl.segment_index(xq)``, computed
+        with plain ufuncs on the :attr:`_folded` constants.  The integer
+        round trip of ``to_raw`` stays (``-0.0`` quantises to ``+0.0``,
+        NaN to the same raw code).  The comparator's own domain clamp is
+        dropped: every cut lies strictly inside the domain
+        (:class:`~repro.approx.pwl.PiecewiseLinear` enforces it), so
+        clamping ``xq`` moves no value across a cut.
         """
-        xq = self.input_format.quantize(self._quantized.clamp(x))
-        return xq, self._quantized.segment_index(xq)
+        k = self._folded
+        clamped = np.minimum(
+            np.maximum(np.asarray(x, dtype=np.float64), k.in_low), k.in_high
+        )
+        xq = np.rint(clamped / k.in_scale).astype(np.int64) * k.in_scale
+        idx = np.searchsorted(k.cuts, xq, side="right")
+        return xq, idx.astype(np.int64, copy=False)
 
     def evaluate(self, x: np.ndarray | float) -> np.ndarray:
         """Bit-accurate functional evaluation: quantise, look up, MAC.
 
         This is the golden model that both the cycle-accurate NOVA pipeline
-        and the LUT baselines must match exactly.
+        and the LUT baselines must match exactly.  The MAC is
+        ``output_format.mac`` (full-precision ``slope * x + bias``, then
+        round-half-to-even and saturate) on the folded constants.
         """
+        k = self._folded
         xq, idx = self.lookup(x)
-        return self.output_format.mac(
-            self._quantized.slopes[idx], xq, self._quantized.biases[idx]
+        total = k.slopes[idx] * xq + k.biases[idx]
+        raw = np.minimum(
+            np.maximum(np.rint(total / k.out_scale), k.out_min_raw),
+            k.out_max_raw,
         )
+        return raw.astype(np.int64) * k.out_scale
 
     __call__ = evaluate
 

@@ -48,6 +48,24 @@ a self-fed trajectory revisits states.  :class:`ScheduledDraft` follows
 an explicit accept/reject program — the test and golden-trace
 instrument.
 
+The table drafts propose a whole tree level per parent in one shared
+host step: the alternatives of one parent differ only in the final
+rounding of the two LUT outputs, so the q projection, the key gather,
+the scores and the exp LUT run once per parent, and the softmax tail,
+the reciprocal LUT, the value gather and the context and output
+products run once over the distinct roundings stacked on a leading
+axis.  That is exact by the batching rules of
+:mod:`repro.core.decode`: the LUTs and the rounding are elementwise,
+every stacked row has the same length (so its reductions sum in the
+same order), and the matmuls are stacks of singleton-row products — so
+each alternative is bit-identical to its own
+:func:`host_step_output` call.  The fidelity coins are memoised per
+position: every node of a level drafts at the same absolute position,
+so each ``(position, alternative)`` coin is drawn once per level.
+Rounding to as many fraction bits as the tables output (Q5.10: 10) is
+a no-op, so ``reduced_bits`` must stay below that, and an inexact
+alternative whose ``reduced_bits + j`` would reach it is not proposed.
+
 Tree speculation
 ----------------
 A linear chain stops paying at the first miss: one wrong draft wastes
@@ -83,7 +101,8 @@ drafted / accepted / rolled-back token counts per pass and in total.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import numbers
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
@@ -107,7 +126,6 @@ from repro.core.decode import (
     KVCacheOverflow,
     NovaDecodeEngine,
     _Job,
-    context_for_query,
     project_token,
     scores_for_query,
 )
@@ -154,29 +172,84 @@ def host_step_output(
     before asking for a proposal).  With the engine's own compiled
     tables and ``drop_to_bits=None`` this reproduces the verification
     pass **bit for bit**: the helpers are the single shared copies the
-    engine executes (:func:`~repro.core.decode.project_token`,
+    engine executes (:func:`~repro.core.decode.scores_for_query`,
     :func:`~repro.core.attention.softmax_reduction`, ...) and
     ``QuantizedPwl.evaluate`` is the golden model the overlay is
     bit-exact against.  ``drop_to_bits=b`` rounds both non-linear
     results to ``b`` fraction bits — the same LUTs at reduced
     precision, which is how :class:`TruncatedTableDraft` models a
-    lower-fidelity draft.
+    lower-fidelity draft.  This is the one-setting case of the drafts'
+    shared step, :func:`_host_step_outputs`.
+    """
+    return _host_step_outputs(
+        request, cache, x_t, exp_table, recip_table, [drop_to_bits]
+    )[0]
+
+
+def _host_step_outputs(
+    request: DecodeRequest,
+    cache: KVCacheLike,
+    x_t: np.ndarray,
+    exp_table: QuantizedPwl,
+    recip_table: QuantizedPwl,
+    drops: Sequence[int | None],
+) -> list[np.ndarray]:
+    """:func:`host_step_output` once per entry of ``drops``, sharing work.
+
+    Everything up to the first rounding is computed once: the q
+    projection (k/v are never needed — the cache already holds them),
+    one key gather, the scores and the exp LUT.  The tail then runs
+    once over the *distinct* settings stacked on a leading axis: one
+    :func:`softmax_reduction`, one reciprocal LUT call, one
+    :func:`assemble_probabilities`, and stacked singleton-row context
+    and output matmuls.  Each entry is bit-identical to a lone call,
+    by the exactness rules of :mod:`repro.core.decode`: the q GEMV is
+    ``project_token``'s own singleton-row matmul, the LUTs and the
+    rounding are elementwise, every setting's rows have the same
+    length (so each row's reductions sum in the same order), and the
+    context and output products are stacks of singleton-row matmuls.
+    Returns one owned array per entry of ``drops``.
     """
     x_t = np.asarray(x_t, dtype=np.float64).reshape(-1)
-    q, _, _ = project_token(
-        x_t, request.wq, request.wk, request.wv, request.n_heads
+    settings = list(dict.fromkeys(drops))
+    bits = np.array(
+        [-1 if b is None else b for b in settings], dtype=np.int64
+    ).reshape(-1, 1, 1)
+    q = np.matmul(x_t.reshape(1, 1, -1), request.wq).reshape(
+        request.n_heads, -1
     )
-    scores = scores_for_query(q, cache.keys)
-    raw = exp_table.evaluate(shift_scores(scores))
-    if drop_to_bits is not None:
-        raw = np.ldexp(np.round(np.ldexp(raw, drop_to_bits)), -drop_to_bits)
-    numer, mantissa, exponent = softmax_reduction(raw)
-    inv = recip_table.evaluate(mantissa)
-    if drop_to_bits is not None:
-        inv = np.ldexp(np.round(np.ldexp(inv, drop_to_bits)), -drop_to_bits)
+    raw = exp_table.evaluate(shift_scores(scores_for_query(q, cache.keys)))
+    numer, mantissa, exponent = softmax_reduction(_drop_bits(raw[None], bits))
+    inv = _drop_bits(recip_table.evaluate(mantissa), bits)
     probs = assemble_probabilities(numer, inv, exponent)
-    context = context_for_query(probs, cache.values_snapshot(cache.length))
-    return context @ request.wo
+    context = np.matmul(
+        probs[:, :, None, :], cache.values_snapshot(cache.length)
+    )
+    outputs = np.matmul(
+        context.reshape(len(settings), 1, request.hidden), request.wo
+    )[:, 0]
+    row = {b: i for i, b in enumerate(settings)}
+    return [outputs[row[b]].copy() for b in drops]
+
+
+def _drop_bits(values: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """``values`` rounded to ``bits[i]`` fraction bits per leading row
+    ``i``; a negative entry keeps its row exact (``values`` broadcasts
+    along the leading axis)."""
+    exact = bits < 0
+    if exact.all():
+        return values
+    rounded = np.ldexp(np.round(np.ldexp(values, bits)), -bits)
+    return rounded if not exact.any() else np.where(exact, values, rounded)
+
+
+def _require_integer(name: str, value: object) -> None:
+    """Reject a bool or non-integral knob (numpy integers pass)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(
+            f"{name} must be an integer, got "
+            f"{type(value).__name__} {value!r}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +274,8 @@ class DraftTree:
     widths: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for w in self.widths:
+            _require_integer("draft-tree width", w)
         widths = tuple(int(w) for w in self.widths)
         object.__setattr__(self, "widths", widths)
         if not widths:
@@ -221,6 +296,7 @@ class DraftTree:
     @classmethod
     def linear(cls, k: int) -> DraftTree:
         """The degenerate width-1 tree: a linear chain of ``k`` drafts."""
+        _require_integer("k", k)
         if k < 1:
             raise ValueError(f"a linear chain needs k >= 1, got {k}")
         return cls((1,) * k)
@@ -307,7 +383,63 @@ class DraftModel(Protocol):
     def reset(self) -> None: ...
 
 
-class TruncatedTableDraft:
+class _HostTableDraft:
+    """Shared base of the drafts that re-run the engine's LUTs on the host.
+
+    Holds the compiled exp/reciprocal tables and the reduced precision.
+    Rounding to ``b`` fraction bits changes nothing once ``b`` reaches
+    the tables' output fraction bits (Q5.10 outputs on every preset:
+    10), so ``reduced_bits`` must stay below that limit, and an inexact
+    alternative whose ``reduced_bits + j`` reaches it is not proposed
+    at all — it would silently be the exact answer.
+    """
+
+    def __init__(
+        self, config: NovaConfig | str | None, reduced_bits: int
+    ) -> None:
+        _require_integer("reduced_bits", reduced_bits)
+        if reduced_bits < 0:
+            raise ValueError(
+                f"reduced_bits must be >= 0, got {reduced_bits}"
+            )
+        cfg = as_config(config)
+        self._exp = cfg.table("exp")
+        self._recip = cfg.table("reciprocal")
+        self._bits_limit = max(
+            self._exp.output_format.fraction_bits,
+            self._recip.output_format.fraction_bits,
+        )
+        if reduced_bits >= self._bits_limit:
+            raise ValueError(
+                f"reduced_bits must be < {self._bits_limit}, the tables' "
+                f"output fraction bits (rounding to {reduced_bits} bits "
+                f"would draft the exact answer), got {reduced_bits}"
+            )
+        self.reduced_bits = int(reduced_bits)
+
+    def _proposals(
+        self,
+        request: DecodeRequest,
+        cache: KVCacheLike,
+        x_t: np.ndarray,
+        exact: Iterable[bool],
+    ) -> list[np.ndarray]:
+        """Alternative ``j`` of ``exact``: the exact step, or the step
+        rounded to ``reduced_bits + j`` fraction bits (skipped once that
+        reaches the tables' output precision).  One shared host step
+        serves them all."""
+        drops: list[int | None] = []
+        for j, is_exact in enumerate(exact):
+            if is_exact:
+                drops.append(None)
+            elif self.reduced_bits + j < self._bits_limit:
+                drops.append(self.reduced_bits + j)
+        return _host_step_outputs(
+            request, cache, x_t, self._exp, self._recip, drops
+        )
+
+
+class TruncatedTableDraft(_HostTableDraft):
     """Draft by re-running the engine's compiled LUTs on the host.
 
     At ``fidelity=1.0`` (the default) every proposal runs the exact
@@ -334,32 +466,37 @@ class TruncatedTableDraft:
     ) -> None:
         if not 0.0 <= fidelity <= 1.0:
             raise ValueError(f"fidelity must be in [0, 1], got {fidelity}")
-        if reduced_bits < 0:
-            raise ValueError(
-                f"reduced_bits must be >= 0, got {reduced_bits}"
-            )
-        cfg = as_config(config)
+        _require_integer("seed", seed)
+        super().__init__(config, reduced_bits)
         self.fidelity = float(fidelity)
         self.seed = int(seed)
-        self.reduced_bits = int(reduced_bits)
-        self._exp = cfg.table("exp")
-        self._recip = cfg.table("reciprocal")
+        # The coin draws of one position, by alternative: every node of
+        # a tree level drafts at the same position, so each (position,
+        # alternative) coin is drawn once per level, not once per node.
+        self._coin_key: tuple[int, int] | None = None
+        self._coins: dict[int, float] = {}
 
     def _exact(self, position: int, alternative: int = 0) -> bool:
         if self.fidelity >= 1.0:
             return True
         if self.fidelity <= 0.0:
             return False
-        # Alternative 0 keeps the historical (seed, position) key so a
-        # width-1 tree draws the exact coins the linear chain always
-        # has; siblings flip independent coins.
-        key = (
-            (self.seed, position)
-            if alternative == 0
-            else (self.seed, position, alternative)
-        )
-        coin = np.random.default_rng(key).random()
-        return bool(coin < self.fidelity)
+        if self._coin_key != (self.seed, position):
+            self._coin_key = (self.seed, position)
+            self._coins = {}
+        draw = self._coins.get(alternative)
+        if draw is None:
+            # Alternative 0 keeps the historical (seed, position) key so
+            # a width-1 tree draws the exact coins the linear chain
+            # always has; siblings flip independent coins.
+            key = (
+                (self.seed, position)
+                if alternative == 0
+                else (self.seed, position, alternative)
+            )
+            draw = np.random.default_rng(key).random()
+            self._coins[alternative] = draw
+        return bool(draw < self.fidelity)
 
     def propose(
         self,
@@ -368,10 +505,9 @@ class TruncatedTableDraft:
         x_t: np.ndarray,
         position: int,
     ) -> np.ndarray:
-        return host_step_output(
-            request, cache, x_t, self._exp, self._recip,
-            drop_to_bits=None if self._exact(position) else self.reduced_bits,
-        )
+        return self._proposals(
+            request, cache, x_t, [self._exact(position)]
+        )[0]
 
     def propose_candidates(
         self,
@@ -381,26 +517,21 @@ class TruncatedTableDraft:
         position: int,
         width: int,
     ) -> list[np.ndarray]:
-        """``width`` alternative proposals for one tree level.
+        """Up to ``width`` alternative proposals for one tree level.
 
         Alternative ``j`` flips its own fidelity coin (independent per
         sibling, still keyed on absolute position only, so acceptance is
         pass-grouping invariant) and, when inexact, truncates to
         ``reduced_bits + j`` fraction bits — distinct wrong siblings
-        rather than ``width`` copies of the same miss.  Alternative 0 is
+        rather than ``width`` copies of the same miss.  An inexact
+        alternative whose ``reduced_bits + j`` reaches the tables'
+        output fraction bits is left out.  Alternative 0 is
         bit-identical to :meth:`propose`.
         """
-        return [
-            host_step_output(
-                request, cache, x_t, self._exp, self._recip,
-                drop_to_bits=(
-                    None
-                    if self._exact(position, j)
-                    else self.reduced_bits + j
-                ),
-            )
-            for j in range(width)
-        ]
+        return self._proposals(
+            request, cache, x_t,
+            [self._exact(position, j) for j in range(width)],
+        )
 
     def observe(
         self, x_t: np.ndarray, output: np.ndarray, position: int
@@ -408,7 +539,8 @@ class TruncatedTableDraft:
         pass
 
     def reset(self) -> None:
-        pass
+        self._coin_key = None
+        self._coins = {}
 
     def __repr__(self) -> str:
         return (
@@ -432,6 +564,8 @@ class NGramDraft:
     """
 
     def __init__(self, key_bits: int = 10, max_history: int = 65536) -> None:
+        _require_integer("key_bits", key_bits)
+        _require_integer("max_history", max_history)
         if key_bits < 0:
             raise ValueError(f"key_bits must be >= 0, got {key_bits}")
         if max_history < 1:
@@ -500,7 +634,7 @@ class NGramDraft:
         )
 
 
-class ScheduledDraft:
+class ScheduledDraft(_HostTableDraft):
     """Follow an explicit accept/reject program (test/golden instrument).
 
     Entry ``i`` of ``program`` decides draft ``i`` of the run (cycling):
@@ -517,14 +651,19 @@ class ScheduledDraft:
         program: Iterable[object],
         reduced_bits: int = 4,
     ) -> None:
-        cfg = as_config(config)
+        super().__init__(config, reduced_bits)
         self.program = tuple(bool(p) for p in program)
         if not self.program:
             raise ValueError("program must contain at least one decision")
-        self.reduced_bits = int(reduced_bits)
-        self._exp = cfg.table("exp")
-        self._recip = cfg.table("reciprocal")
         self._cursor = 0
+
+    def _decisions(self, n: int) -> list[bool]:
+        decisions = [
+            self.program[(self._cursor + i) % len(self.program)]
+            for i in range(n)
+        ]
+        self._cursor += n
+        return decisions
 
     def propose(
         self,
@@ -533,12 +672,7 @@ class ScheduledDraft:
         x_t: np.ndarray,
         position: int,
     ) -> np.ndarray:
-        exact = self.program[self._cursor % len(self.program)]
-        self._cursor += 1
-        return host_step_output(
-            request, cache, x_t, self._exp, self._recip,
-            drop_to_bits=None if exact else self.reduced_bits,
-        )
+        return self._proposals(request, cache, x_t, self._decisions(1))[0]
 
     def propose_candidates(
         self,
@@ -548,28 +682,20 @@ class ScheduledDraft:
         position: int,
         width: int,
     ) -> list[np.ndarray]:
-        """``width`` alternatives, each consuming one program decision.
+        """Up to ``width`` alternatives, each consuming one program
+        decision.
 
         Trees visit nodes level by level in planning order, so the
         program maps onto tree nodes deterministically — which is what
         lets the golden fixtures pin an exact acceptance trace per
         preset.  Inexact alternatives truncate to ``reduced_bits + j``
         so two ``False`` decisions yield two *distinct* wrong siblings;
-        duplicate ``True`` decisions dedup to one accepted child.
+        duplicate ``True`` decisions dedup to one accepted child.  An
+        inexact alternative whose ``reduced_bits + j`` reaches the
+        tables' output fraction bits still consumes its decision but
+        proposes nothing.
         """
-        candidates: list[np.ndarray] = []
-        for j in range(width):
-            exact = self.program[self._cursor % len(self.program)]
-            self._cursor += 1
-            candidates.append(
-                host_step_output(
-                    request, cache, x_t, self._exp, self._recip,
-                    drop_to_bits=(
-                        None if exact else self.reduced_bits + j
-                    ),
-                )
-            )
-        return candidates
+        return self._proposals(request, cache, x_t, self._decisions(width))
 
     def observe(
         self, x_t: np.ndarray, output: np.ndarray, position: int
@@ -885,6 +1011,8 @@ class SpeculativeDecodeEngine:
             engine = NovaDecodeEngine(engine)
         self.engine = engine
         cfg = engine.config
+        if spec_k is not None:
+            _require_integer("spec_k", spec_k)
         self.spec_k = cfg.spec_k if spec_k is None else int(spec_k)
         if self.spec_k < 1:
             raise ValueError(
