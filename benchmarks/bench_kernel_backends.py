@@ -14,7 +14,7 @@ The workload is the regime the kernels target: a small-hidden causal
 model decoding far past its prompt, so per-step time is dominated by
 the vector-unit lookup/MAC stream rather than the host QKV GEMVs, and
 the per-token loop's Python overhead is laid bare.  Any optional
-accelerated backend installed in this process (numba, jax) rides along
+accelerated backend installed in this process (numba) rides along
 in extra rows — reported, equivalence-checked, but not gated.
 
 Alongside the rendered table the benchmark writes a machine-readable

@@ -15,7 +15,6 @@ from repro.analysis.rules.nv001_rng import UnseededRngRule
 from repro.analysis.rules.nv002_paging import BlockPoolAccessRule
 from repro.analysis.rules.nv003_float_eq import FloatEqualityRule
 from repro.analysis.rules.nv004_frozen_config import FrozenConfigRule
-from repro.analysis.rules.nv005_legacy_kwargs import LegacyGeometryKwargsRule
 from repro.analysis.rules.nv006_counters import CounterOwnershipRule
 from repro.analysis.rules.nv007_atomicity import AtomicityRule
 from repro.analysis.rules.nv008_wallclock import WallClockRule
@@ -27,7 +26,6 @@ __all__ = [
     "BlockPoolAccessRule",
     "FloatEqualityRule",
     "FrozenConfigRule",
-    "LegacyGeometryKwargsRule",
     "CounterOwnershipRule",
     "AtomicityRule",
     "WallClockRule",
@@ -39,7 +37,6 @@ ALL_RULES: tuple[Rule, ...] = (
     BlockPoolAccessRule(),
     FloatEqualityRule(),
     FrozenConfigRule(),
-    LegacyGeometryKwargsRule(),
     CounterOwnershipRule(),
     AtomicityRule(),
     WallClockRule(),

@@ -7,7 +7,6 @@ from collections.abc import Iterator
 
 __all__ = [
     "dotted_name",
-    "call_name",
     "receiver_of",
     "walk_code",
     "ImportMap",
@@ -24,16 +23,6 @@ def dotted_name(node: ast.AST) -> str | None:
         return None
     parts.append(node.id)
     return ".".join(reversed(parts))
-
-
-def call_name(call: ast.Call) -> str | None:
-    """The terminal name a call dispatches on (``Foo`` in ``m.Foo(...)``)."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
 
 
 def receiver_of(call: ast.Call) -> ast.expr | None:

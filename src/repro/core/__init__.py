@@ -35,7 +35,6 @@ from repro.core.kernels import (
     NumpyBackend,
     LoopbackBackend,
     NumbaBackend,
-    JaxBackend,
     BACKENDS,
     resolve_backend,
     available_backends,
@@ -111,7 +110,6 @@ __all__ = [
     "NumpyBackend",
     "LoopbackBackend",
     "NumbaBackend",
-    "JaxBackend",
     "BACKENDS",
     "resolve_backend",
     "available_backends",

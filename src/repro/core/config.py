@@ -22,10 +22,8 @@ engine constructor:
 Engines (:class:`~repro.core.vector_unit.NovaVectorUnit`,
 :class:`~repro.core.attention.NovaAttentionEngine`,
 :class:`~repro.core.batched_attention.BatchedNovaAttentionEngine`)
-accept a ``NovaConfig`` — or a preset name — as their primary
-constructor interface; the legacy geometry kwargs still work through a
-``DeprecationWarning`` shim that builds the identical engine.  The
-recommended front door for running anything is
+take a ``NovaConfig`` — or a preset name — as their only geometry
+argument.  The recommended front door for running anything is
 :class:`~repro.core.session.NovaSession`.
 """
 
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -50,7 +47,6 @@ __all__ = [
     "PRESETS",
     "preset",
     "as_config",
-    "resolve_engine_config",
     "GEOMETRY_FIELDS",
     "ENGINE_FIELDS",
     "DRAFT_KINDS",
@@ -68,10 +64,10 @@ DRAFT_KINDS = ("truncated-table", "ngram")
 #: knows how to build (``NovaConfig.kernel_backend``).  As with
 #: :data:`DRAFT_KINDS`, the canonical tuple lives here so config
 #: validation needs no import of the kernel stack; a test pins it equal
-#: to :data:`repro.core.kernels.BACKENDS`.  ``numba``/``jax`` are
-#: optional dependencies — naming one where it is not installed warns
-#: and runs on ``numpy`` instead.
-KERNEL_BACKENDS = ("numpy", "loopback", "numba", "jax")
+#: to :data:`repro.core.kernels.BACKENDS`.  ``numba`` is an optional
+#: dependency — naming it where it is not installed warns and runs on
+#: ``numpy`` instead.
+KERNEL_BACKENDS = ("numpy", "loopback", "numba")
 
 #: The overlay-geometry fields (what a :class:`NovaVectorUnit` needs).
 GEOMETRY_FIELDS = (
@@ -223,9 +219,9 @@ class NovaConfig:
     exact against the beat-level simulation, so like the serving knobs
     it is purely an execution-speed lever; ``"numpy"`` is the default
     everywhere, ``"loopback"`` pins the pre-kernel per-token loop for
-    benchmarking, and ``"numba"``/``"jax"`` are optional accelerated
-    drop-ins that fall back to numpy (with a warning) when the package
-    is absent.
+    benchmarking, and ``"numba"`` is an optional accelerated drop-in
+    that falls back to numpy (with a warning) when the package is
+    absent.
     """
 
     n_routers: int = 8
@@ -495,40 +491,3 @@ def as_config(
         "config must be a NovaConfig, a preset name, a mapping or None; "
         f"got {type(config).__name__}"
     )
-
-
-def warn_legacy_kwargs(owner: str, stacklevel: int = 3) -> None:
-    """Emit the one deprecation message for loose geometry kwargs."""
-    warnings.warn(
-        f"passing geometry kwargs to {owner} is deprecated; pass a "
-        "NovaConfig (or a preset name such as 'jetson-nx') instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def resolve_engine_config(
-    config: "NovaConfig | str | Mapping[str, object] | None",
-    legacy: Mapping[str, object],
-    owner: str,
-) -> NovaConfig:
-    """Shared constructor shim for the attention engines.
-
-    ``legacy`` maps the old kwarg names to their passed values (``None``
-    = not passed).  Passing both a config and legacy kwargs is an error;
-    legacy kwargs alone emit a ``DeprecationWarning`` and build the
-    identical :class:`NovaConfig` (missing kwargs take the config
-    defaults, which equal the engines' historical defaults).
-    """
-    passed = {k: v for k, v in legacy.items() if v is not None}
-    if config is not None:
-        if passed:
-            raise TypeError(
-                f"{owner}: pass geometry either as config= or as legacy "
-                f"kwargs, not both (got config plus {sorted(passed)})"
-            )
-        return as_config(config)
-    if passed:
-        warn_legacy_kwargs(owner, stacklevel=4)
-        return NovaConfig(**cast("dict[str, Any]", passed))
-    return NovaConfig()

@@ -756,8 +756,8 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
     tables come from the process-wide compiled-table cache, and
     per-request cost accounting reuses the closed-form
     sequential-equivalent counters.  Constructor interface matches the
-    other engines (a :class:`~repro.core.config.NovaConfig`, a Table II
-    preset name, or legacy kwargs with a ``DeprecationWarning``).
+    other engines (a :class:`~repro.core.config.NovaConfig` or a Table II
+    preset name).
 
     Three entry points, all bit-exact against one another:
 

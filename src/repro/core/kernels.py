@@ -19,10 +19,10 @@ refactored out so it is one registry entry among several.
 :class:`LoopbackBackend` pins the pre-refactor per-batch Python loop as
 a wall-clock reference (still bit-exact — it is what
 ``benchmarks/bench_kernel_backends.py`` measures speedups against).
-:class:`NumbaBackend` and :class:`JaxBackend` are optional drop-ins
-behind lazy imports: when the package is missing,
-:func:`resolve_backend` warns and falls back to numpy rather than
-failing, so a config that names them stays runnable everywhere.
+:class:`NumbaBackend` is an optional drop-in behind a lazy import:
+when numba is missing, :func:`resolve_backend` warns and falls back to
+numpy rather than failing, so a config that names it stays runnable
+everywhere.
 
 Exactness is the contract, not a goal: every backend must be
 bit-identical to :meth:`~repro.approx.quantize.QuantizedPwl.lookup` +
@@ -55,7 +55,6 @@ __all__ = [
     "NumpyBackend",
     "LoopbackBackend",
     "NumbaBackend",
-    "JaxBackend",
     "BACKENDS",
     "resolve_backend",
     "available_backends",
@@ -142,7 +141,7 @@ def kernel_cache_info() -> dict[str, Any]:
 
     ``registered`` lists every name the registry accepts;
     ``available`` the subset whose dependencies import in this process
-    (numpy and loopback always; numba/jax only when installed);
+    (numpy and loopback always; numba only when installed);
     ``backends`` maps each backend that has launched to its cumulative
     ``launches`` / ``elements`` tallies.
     """
@@ -360,66 +359,6 @@ class NumbaBackend:
 
 
 # ----------------------------------------------------------------------
-# jax: XLA-backed drop-in (optional dependency; needs x64)
-# ----------------------------------------------------------------------
-
-
-class JaxBackend:
-    """XLA-backed gather/MAC (requires ``jax``; enables x64 numerics).
-
-    Mirrors the golden pipeline with ``jax.numpy`` ops in float64 —
-    bit-exactness requires the x64 flag, which the constructor enables
-    process-wide (jax's documented switch for double precision).
-    """
-
-    name = "jax"
-
-    def __init__(self) -> None:
-        import jax  # Raises ImportError when jax is absent.
-
-        jax.config.update("jax_enable_x64", True)
-        import jax.numpy as jnp
-
-        self._jnp = jnp
-
-    def table_gather_mac(
-        self, table: "QuantizedPwl", xs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        jnp = self._jnp
-        xs = np.asarray(xs, dtype=np.float64)
-        quantized = table.quantized_pwl
-        in_fmt = table.input_format
-        out_fmt = table.output_format
-        dom_lo, dom_hi = quantized.domain
-        x = jnp.asarray(xs, dtype=jnp.float64)
-        clamped = jnp.clip(x, dom_lo, dom_hi)
-        raw = jnp.clip(
-            jnp.rint(clamped / in_fmt.scale), in_fmt.min_raw, in_fmt.max_raw
-        )
-        xq = raw * in_fmt.scale
-        idx = jnp.searchsorted(
-            jnp.asarray(quantized.cuts, dtype=jnp.float64),
-            jnp.clip(xq, dom_lo, dom_hi),
-            side="right",
-        ).astype(jnp.int64)
-        slopes = jnp.asarray(quantized.slopes, dtype=jnp.float64)
-        biases = jnp.asarray(quantized.biases, dtype=jnp.float64)
-        total = slopes[idx] * xq + biases[idx]
-        oraw = jnp.clip(
-            jnp.rint(total / out_fmt.scale), out_fmt.min_raw, out_fmt.max_raw
-        )
-        outputs = np.asarray(oraw * out_fmt.scale, dtype=np.float64)
-        _record_launch(self.name, xs.size)
-        return outputs, np.asarray(idx, dtype=np.int64)
-
-    def tag_match_totals(
-        self, addresses: np.ndarray, n_beats: int
-    ) -> np.ndarray:
-        # int64 reduction — numpy is already exact and optimal here
-        return _closed_form_tag_totals(addresses, n_beats)
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 
@@ -430,11 +369,9 @@ BACKENDS: dict[str, Callable[[], KernelBackend]] = {
     "numpy": NumpyBackend,
     "loopback": LoopbackBackend,
     "numba": NumbaBackend,
-    "jax": JaxBackend,
 }
 
-#: Memoised instances (numba compiles a kernel; jax flips a global flag
-#: — both are once-per-process costs).
+#: Memoised instances (numba compiles a kernel once per process).
 _INSTANCES: dict[str, KernelBackend] = {}
 
 
@@ -445,7 +382,7 @@ def resolve_backend(name: str) -> KernelBackend:
     validation catches these earlier; this is the backstop for direct
     callers).  Optional backends whose dependency is missing warn
     (``RuntimeWarning``) and return the numpy backend, so serving a
-    config that names numba/jax degrades instead of crashing on hosts
+    config that names numba degrades instead of crashing on hosts
     without the package.
     """
     if name not in BACKENDS:
@@ -471,7 +408,7 @@ def available_backends() -> tuple[str, ...]:
     """Registry names whose dependencies import in this process.
 
     This is what the equivalence tests parametrise over: numpy and
-    loopback always qualify; numba/jax only where installed.
+    loopback always qualify; numba only where installed.
     """
     names = []
     for name, factory in sorted(BACKENDS.items()):

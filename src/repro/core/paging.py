@@ -117,6 +117,12 @@ def worst_case_blocks(
     keep at most ``window`` tokens, which can straddle one extra block
     while the head offset walks through the first block — but never
     more than the unwindowed bound.
+
+    The windowless bound needs no such straddle block because no engine
+    path evicts a windowless cache: the only eviction is a windowed
+    append sliding its window.  A caller that does call ``evict`` on a
+    windowless :class:`PagedKVCache` (it is allowed) walks the head
+    offset exactly as a window does and may then hold one block more.
     """
     if window is None or total_tokens <= window:
         return blocks_needed(total_tokens, block_size)

@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.approx.quantize import QuantizedPwl
 from repro.core.comparator import ComparatorBank
-from repro.core.config import NovaConfig, preset, warn_legacy_kwargs
+from repro.core.config import NovaConfig, preset
 from repro.core.kernels import KernelBackend, resolve_backend
 from repro.core.mac import MacLane
 from repro.core.mapper import BroadcastSchedule, NovaMapper
@@ -108,16 +107,12 @@ class StreamResult:
 class NovaVectorUnit:
     """A configured NOVA overlay instance.
 
-    The primary constructor interface is a table plus a
+    The constructor takes a table plus a
     :class:`~repro.core.config.NovaConfig` (or a preset name)::
 
         NovaVectorUnit(table, NovaConfig(n_routers=8, neurons_per_router=128))
         NovaVectorUnit(table, "tpu-v4")
 
-    The legacy loose geometry kwargs (``n_routers``,
-    ``neurons_per_router``, ``pe_frequency_ghz``, ``hop_mm`` — with
-    ``hop_mm`` defaulting to 1.0 as it always has on this constructor)
-    still build the identical unit but emit a ``DeprecationWarning``.
     The unit only consumes the config's geometry: the table itself fixes
     the segment count, so ``config.n_segments``/``config.seed`` are
     recorded on :attr:`config` for provenance, not re-derived.
@@ -126,63 +121,19 @@ class NovaVectorUnit:
     def __init__(
         self,
         table: QuantizedPwl,
-        config: NovaConfig | str | int | None = None,
-        neurons_per_router: int | None = None,
-        pe_frequency_ghz: float | None = None,
-        hop_mm: float | None = None,
+        config: NovaConfig | str | None = None,
+        *,
         wire: RepeatedWire | None = None,
         grid_shape: tuple[int, int] | None = None,
-        *,
-        n_routers: int | None = None,
     ) -> None:
         if isinstance(config, str):
             config = preset(config)
-        if isinstance(config, NovaConfig):
-            extra = [
-                name
-                for name, value in (
-                    ("n_routers", n_routers),
-                    ("neurons_per_router", neurons_per_router),
-                    ("pe_frequency_ghz", pe_frequency_ghz),
-                    ("hop_mm", hop_mm),
-                )
-                if value is not None
-            ]
-            if extra:
-                raise TypeError(
-                    "NovaVectorUnit: pass geometry either as a NovaConfig "
-                    f"or as legacy kwargs, not both (got config plus {extra})"
-                )
-            config = dataclasses.replace(config, n_segments=table.n_segments)
-        else:
-            if config is not None:
-                # legacy positional call: the second argument is n_routers
-                if not isinstance(config, Integral):
-                    raise TypeError(
-                        "config must be a NovaConfig, a preset name or the "
-                        f"legacy n_routers int, got {type(config).__name__}"
-                    )
-                if n_routers is not None:
-                    raise TypeError("NovaVectorUnit got n_routers twice")
-                n_routers = int(config)
-            if (
-                n_routers is None
-                or neurons_per_router is None
-                or pe_frequency_ghz is None
-            ):
-                raise TypeError(
-                    "NovaVectorUnit needs a NovaConfig (or the legacy "
-                    "n_routers, neurons_per_router and pe_frequency_ghz "
-                    "kwargs)"
-                )
-            warn_legacy_kwargs("NovaVectorUnit")
-            config = NovaConfig(
-                n_routers=n_routers,
-                neurons_per_router=neurons_per_router,
-                pe_frequency_ghz=pe_frequency_ghz,
-                hop_mm=1.0 if hop_mm is None else hop_mm,
-                n_segments=table.n_segments,
+        if not isinstance(config, NovaConfig):
+            raise TypeError(
+                "NovaVectorUnit needs a NovaConfig or a preset name, got "
+                f"{type(config).__name__}"
             )
+        config = dataclasses.replace(config, n_segments=table.n_segments)
         self.config = config
         self.table = table
         self.neurons_per_router = config.neurons_per_router

@@ -44,8 +44,8 @@ to an experiment that has a fixed, paper-defined geometry is an error.
 for ``--override kernel_backend=NAME``, validated against the
 :data:`repro.core.config.KERNEL_BACKENDS` registry (a typo exits 2
 listing the known backends).  Every backend is bit/cycle/counter
-exact; ``numba``/``jax`` fall back to numpy (with a warning) when the
-package is not installed.
+exact; ``numba`` falls back to numpy (with a warning) when the package
+is not installed.
 
 ``serve-decode --paged`` swaps the throughput harness for the paged-KV
 memory-utilization study
@@ -278,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(KERNEL_BACKENDS),
         help="kernel backend for serve-decode/serve-async (shorthand for "
              "--override kernel_backend=NAME); every backend is "
-             "bit/cycle/counter-exact — numba/jax fall back to numpy "
+             "bit/cycle/counter-exact — numba falls back to numpy "
              "when not installed",
     )
     args = parser.parse_args(argv)

@@ -9,7 +9,12 @@ of :mod:`repro.hw.calibration` sets the absolute gauge.
 
 from __future__ import annotations
 
+import time
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import Any, TypeVar
+
+import numpy as np
 
 from repro.accelerators import build_accelerator
 from repro.accelerators.nvdla import NvdlaAccelerator
@@ -18,7 +23,8 @@ from repro.eval import paper_data
 from repro.hw.calibration import calibrated_cost
 from repro.hw.costs import unit_cost
 from repro.noc.link import RepeatedWire
-from repro.workloads.bert import BERT_MODELS, bert_graph
+from repro.workloads.bert import BERT_MODELS, bert_graph, serving_config
+from repro.workloads.transformer import TransformerConfig
 
 __all__ = [
     "ExperimentResult",
@@ -36,6 +42,9 @@ __all__ = [
     "kernel_backend_throughput",
     "paged_decode_utilization",
     "prefix_caching_residency",
+    "speculative_decode_speedup",
+    "tree_speculation_speedup",
+    "serving_slo_comparison",
 ]
 
 
@@ -211,8 +220,6 @@ def table4_related_work() -> ExperimentResult:
     published numbers only (its internal microarchitecture is not
     specified to reproducible depth).
     """
-    import numpy as np
-
     from repro.approx.functions import get_function
     from repro.approx.ibert import ibert_exp
     from repro.approx.nnlut_mlp import train_nnlut_mlp
@@ -500,6 +507,111 @@ def scalability_sweep() -> ExperimentResult:
     return result
 
 
+# ----------------------------------------------------------------------
+# Serving experiments: one copy of the config, model, timing and
+# solo-equivalence code they share
+# ----------------------------------------------------------------------
+
+#: GPT-2 family shape scaled down, the default model of the memory and
+#: speculation studies: at full width numpy GEMVs dominate every path
+#: and a harness would measure numpy, not the serving machinery.  The
+#: real 256-token context makes worst-case pages 10-60x the tokens a
+#: mixed request actually caches.
+_GPT2_MINI = TransformerConfig(
+    "gpt2-mini", layers=1, hidden=64, heads=4, intermediate=256,
+    seq_len=256, causal=True,
+)
+
+_T = TypeVar("_T")
+
+
+def _config_and_seed(
+    config: "NovaConfig | str", seed: int | None
+) -> tuple[NovaConfig, int]:
+    """Resolve a config; ``seed`` defaults to the config's own seed (so
+    ``--override seed=N`` on the CLI takes effect), and an explicit one
+    replaces it."""
+    cfg = as_config(config)
+    if seed is None:
+        return cfg, cfg.seed
+    if cfg.seed != seed:
+        cfg = cfg.replace(seed=seed)
+    return cfg, seed
+
+
+def _serving_model(
+    model_name: "str | TransformerConfig | None",
+) -> TransformerConfig:
+    """A causal :data:`repro.workloads.bert.SERVING_MODELS` key, a
+    :class:`TransformerConfig` itself, or ``None`` for the scaled-down
+    GPT-2 shape."""
+    if model_name is None:
+        return _GPT2_MINI
+    if isinstance(model_name, TransformerConfig):
+        return model_name
+    return serving_config(model_name)
+
+
+def _require_tokens(experiment: str, max_new_tokens: int) -> None:
+    if max_new_tokens < 1:
+        raise ValueError(
+            f"{experiment} measures tokens/sec over generated tokens, so "
+            f"max_new_tokens must be >= 1 (got {max_new_tokens})"
+        )
+
+
+def _timed(run: Callable[[], _T]) -> tuple[_T, float]:
+    """``run()`` and the wall-clock seconds it took."""
+    t0 = time.perf_counter()
+    out = run()
+    return out, time.perf_counter() - t0
+
+
+def _check_solo_equivalence(
+    path: str,
+    reference: str,
+    refs: "Sequence[Any] | Mapping[Any, Any]",
+    results: "Sequence[Any] | Mapping[Any, Any]",
+) -> None:
+    """Raise ``RuntimeError`` naming ``path`` and the request unless
+    every result is identical to its reference.
+
+    ``results`` is a sequence (request ``i`` is checked against
+    ``refs[i]``) or a mapping from request id to result (checked against
+    ``refs[id]``).  Compared: the generated tokens and prefill outputs
+    (an attention result's outputs), then the vector cycles and event
+    counters — or, for a speculative result, whose own cycles include
+    rolled-back work, its closed-form ``sequential_vector_cycles``
+    against the reference's ``vector_cycles``.
+    """
+    items = (
+        results.items() if isinstance(results, Mapping) else enumerate(results)
+    )
+    for i, got in items:
+        ref = refs[i]
+        if hasattr(got, "generated"):
+            arrays = [
+                (got.generated, ref.generated),
+                (got.prefill.outputs, ref.prefill.outputs),
+            ]
+        else:
+            arrays = [(got.outputs, ref.outputs)]
+        same = all(np.array_equal(a, b) for a, b in arrays)
+        if hasattr(got, "sequential_vector_cycles"):
+            same = same and got.sequential_vector_cycles == ref.vector_cycles
+        else:
+            same = (
+                same
+                and got.vector_cycles == ref.vector_cycles
+                and got.counters.as_dict() == ref.counters.as_dict()
+            )
+        if not same:
+            raise RuntimeError(
+                f"{path} diverged from {reference} on request {i}: the "
+                "bit-exact/cycle-exact contract is broken"
+            )
+
+
 def batched_serving_throughput(
     model_name: str = "BERT-tiny",
     batch_size: int = 8,
@@ -528,18 +640,10 @@ def batched_serving_throughput(
     this is also the single harness behind
     ``benchmarks/bench_batched_serving.py``.
     """
-    import time
-
-    import numpy as np
-
     from repro.core.session import NovaSession
     from repro.workloads.bert import bert_attention_batch
 
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
+    cfg, seed = _config_and_seed(config, seed)
     requests = bert_attention_batch(
         model_name, batch_size, seq_len=seq_len, seed=seed
     )
@@ -555,29 +659,17 @@ def batched_serving_throughput(
         )
         batched.attention_batch(requests)
 
-    t0 = time.perf_counter()
-    seq_results = [
+    seq_results, t_sequential = _timed(lambda: [
         sequential.attention_layer(
             r.x, r.wq, r.wk, r.wv, r.wo, n_heads=r.n_heads
         )
         for r in requests
-    ]
-    t_sequential = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    batch = batched.attention_batch(requests)
-    t_batched = time.perf_counter() - t0
-
-    for i, (got, ref) in enumerate(zip(batch.results, seq_results)):
-        if (
-            not np.array_equal(got.outputs, ref.outputs)
-            or got.vector_cycles != ref.vector_cycles
-            or got.counters.as_dict() != ref.counters.as_dict()
-        ):
-            raise RuntimeError(
-                f"batched serving diverged from the sequential engine on "
-                f"request {i}: the bit-exact/cycle-exact contract is broken"
-            )
+    ])
+    batch, t_batched = _timed(lambda: batched.attention_batch(requests))
+    _check_solo_equivalence(
+        "batched serving", "the sequential engine", seq_results,
+        batch.results,
+    )
     seq_cycles = sum(r.vector_cycles for r in seq_results)
 
     result = ExperimentResult(
@@ -655,30 +747,13 @@ def decode_serving_throughput(
     also the single harness behind
     ``benchmarks/bench_decode_serving.py``.
     """
-    import time
-
-    import numpy as np
-
     from repro.core.decode import ContinuousBatchScheduler
     from repro.core.session import NovaSession
-    from repro.workloads.bert import decode_batch, serving_config
-    from repro.workloads.transformer import TransformerConfig
+    from repro.workloads.bert import decode_batch
 
-    if max_new_tokens < 1:
-        raise ValueError(
-            "decode_serving_throughput measures tokens/sec over generated "
-            f"tokens, so max_new_tokens must be >= 1 (got {max_new_tokens})"
-        )
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
-    model = (
-        model_name
-        if isinstance(model_name, TransformerConfig)
-        else serving_config(model_name)
-    )
+    _require_tokens("decode_serving_throughput", max_new_tokens)
+    cfg, seed = _config_and_seed(config, seed)
+    model = _serving_model(model_name)
     requests = decode_batch(
         model, batch_size, prompt_len=prompt_len,
         max_new_tokens=max_new_tokens, seed=seed,
@@ -690,26 +765,12 @@ def decode_serving_throughput(
         engine.generate(requests[0])
         ContinuousBatchScheduler(engine, max_active=max_active).run(requests)
 
-    t0 = time.perf_counter()
-    solo = [engine.generate(r) for r in requests]
-    t_solo = time.perf_counter() - t0
-
+    solo, t_solo = _timed(lambda: [engine.generate(r) for r in requests])
     scheduler = ContinuousBatchScheduler(engine, max_active=max_active)
-    t0 = time.perf_counter()
-    batch = scheduler.run(requests)
-    t_batched = time.perf_counter() - t0
-
-    for i, (ref, got) in enumerate(zip(solo, batch.results)):
-        if (
-            not np.array_equal(got.generated, ref.generated)
-            or not np.array_equal(got.prefill.outputs, ref.prefill.outputs)
-            or got.vector_cycles != ref.vector_cycles
-            or got.counters.as_dict() != ref.counters.as_dict()
-        ):
-            raise RuntimeError(
-                f"continuous batching diverged from one-at-a-time decode on "
-                f"request {i}: the bit-exact/cycle-exact contract is broken"
-            )
+    batch, t_batched = _timed(lambda: scheduler.run(requests))
+    _check_solo_equivalence(
+        "continuous batching", "one-at-a-time decode", solo, batch.results
+    )
 
     tokens = batch.total_generated_tokens
     solo_cycles = sum(r.vector_cycles for r in solo)
@@ -787,26 +848,13 @@ def kernel_backend_throughput(
     harness enforces it before reporting any speedup.  This is also the
     single harness behind ``benchmarks/bench_kernel_backends.py``.
     """
-    import time
-
-    import numpy as np
-
     from repro.core.decode import ContinuousBatchScheduler
     from repro.core.kernels import available_backends, kernel_cache_info
     from repro.core.session import NovaSession
-    from repro.workloads.bert import decode_batch, serving_config
-    from repro.workloads.transformer import TransformerConfig
+    from repro.workloads.bert import decode_batch
 
-    if max_new_tokens < 1:
-        raise ValueError(
-            "kernel_backend_throughput measures tokens/sec over generated "
-            f"tokens, so max_new_tokens must be >= 1 (got {max_new_tokens})"
-        )
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
+    _require_tokens("kernel_backend_throughput", max_new_tokens)
+    cfg, seed = _config_and_seed(config, seed)
     if backends is None:
         names = ["loopback"] + [
             name for name in available_backends() if name != "loopback"
@@ -815,11 +863,7 @@ def kernel_backend_throughput(
         names = list(backends)
     if not names:
         raise ValueError("kernel_backend_throughput needs >= 1 backend")
-    model = (
-        model_name
-        if isinstance(model_name, TransformerConfig)
-        else serving_config(model_name)
-    )
+    model = _serving_model(model_name)
     requests = decode_batch(
         model, batch_size, prompt_len=prompt_len,
         max_new_tokens=max_new_tokens, seed=seed,
@@ -843,9 +887,7 @@ def kernel_backend_throughput(
             .get(resolved, {})
             .get("launches", 0)
         )
-        t0 = time.perf_counter()
-        batch = scheduler.run(requests)
-        wall = time.perf_counter() - t0
+        batch, wall = _timed(lambda: scheduler.run(requests))
         launches = (
             kernel_cache_info()["backends"][resolved]["launches"] - before
         )
@@ -853,22 +895,10 @@ def kernel_backend_throughput(
 
     _, _, _, reference, _ = runs[0]
     for name, _, _, batch, _ in runs[1:]:
-        for i, (ref, got) in enumerate(
-            zip(reference.results, batch.results)
-        ):
-            if (
-                not np.array_equal(got.generated, ref.generated)
-                or not np.array_equal(
-                    got.prefill.outputs, ref.prefill.outputs
-                )
-                or got.vector_cycles != ref.vector_cycles
-                or got.counters.as_dict() != ref.counters.as_dict()
-            ):
-                raise RuntimeError(
-                    f"kernel backend {name!r} diverged from "
-                    f"{runs[0][0]!r} on request {i}: the bit-exact/"
-                    "cycle-exact contract is broken"
-                )
+        _check_solo_equivalence(
+            f"kernel backend {name!r}", repr(runs[0][0]),
+            reference.results, batch.results,
+        )
 
     tokens = reference.total_generated_tokens
     base_wall = runs[0][2]
@@ -939,36 +969,14 @@ def paged_decode_utilization(
     table is built (``RuntimeError`` on divergence).  ``block_size``
     defaults to the config's ``kv_block_size``.
     """
-    import time
-
-    import numpy as np
-
     from repro.core.decode import ContinuousBatchScheduler
     from repro.core.session import NovaSession
-    from repro.workloads.bert import mixed_decode_batch, serving_config
-    from repro.workloads.transformer import TransformerConfig
+    from repro.workloads.bert import mixed_decode_batch
 
     if pool_pages < 1:
         raise ValueError(f"pool_pages must be >= 1, got {pool_pages}")
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
-    if model_name is None:
-        # GPT-2 family shape scaled down (same rationale as the decode
-        # benchmark: at full width numpy GEMVs dominate both paths and
-        # the harness would measure numpy, not the memory model), with
-        # a real 256-token context so worst-case pages are 10-60x the
-        # tokens a mixed request actually caches.
-        model = TransformerConfig(
-            "gpt2-mini", layers=1, hidden=64, heads=4, intermediate=256,
-            seq_len=256, causal=True,
-        )
-    elif isinstance(model_name, TransformerConfig):
-        model = model_name
-    else:
-        model = serving_config(model_name)
+    cfg, seed = _config_and_seed(config, seed)
+    model = _serving_model(model_name)
     requests = mixed_decode_batch(
         model, batch_size, prompt_lens=prompt_lens, new_tokens=new_tokens,
         seed=seed,
@@ -986,9 +994,7 @@ def paged_decode_utilization(
             engine, max_active=batch_size, paged=paged,
             block_size=bs if paged else None, pool_bytes=pool_bytes,
         )
-        t0 = time.perf_counter()
-        batch = scheduler.run(requests)
-        return batch, time.perf_counter() - t0
+        return _timed(lambda: scheduler.run(requests))
 
     if warmup:
         engine.generate(requests[0])
@@ -1000,17 +1006,10 @@ def paged_decode_utilization(
     paged, t_paged = run_path(True)
 
     for label, batch in (("contiguous", contiguous), ("paged", paged)):
-        for i, (ref, got) in enumerate(zip(solo, batch.results)):
-            if (
-                not np.array_equal(got.generated, ref.generated)
-                or got.vector_cycles != ref.vector_cycles
-                or got.counters.as_dict() != ref.counters.as_dict()
-            ):
-                raise RuntimeError(
-                    f"{label} scheduling diverged from one-at-a-time "
-                    f"decode on request {i}: the bit-exact contract is "
-                    "broken"
-                )
+        _check_solo_equivalence(
+            f"{label} scheduling", "one-at-a-time decode", solo,
+            batch.results,
+        )
 
     tokens = contiguous.total_generated_tokens
     result = ExperimentResult(
@@ -1091,25 +1090,16 @@ def prefix_caching_residency(
     arrive one cycle after the leader so adoption happens against a
     published prefix rather than racing the leader's prefill.
     """
-    import time
-
-    import numpy as np
-
     from repro.core.decode import ContinuousBatchScheduler, SequenceMeta
     from repro.core.session import NovaSession
-    from repro.workloads.bert import serving_config, shared_prefix_decode_batch
-    from repro.workloads.transformer import TransformerConfig
+    from repro.workloads.bert import shared_prefix_decode_batch
 
     if batch_size < 2:
         raise ValueError(
             f"batch_size must be >= 2 (nothing shares below that), "
             f"got {batch_size}"
         )
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
+    cfg, seed = _config_and_seed(config, seed)
     bs = cfg.kv_block_size if block_size is None else block_size
     if prefix_tokens < bs:
         raise ValueError(
@@ -1117,18 +1107,7 @@ def prefix_caching_residency(
             f"(nothing below a full block is shareable), got "
             f"{prefix_tokens}"
         )
-    if model_name is None:
-        # Same scaled-down GPT-2 shape as paged_decode_utilization, and
-        # for the same reason: at full width numpy GEMVs dominate both
-        # paths and the harness would measure numpy, not the pool.
-        model = TransformerConfig(
-            "gpt2-mini", layers=1, hidden=64, heads=4, intermediate=256,
-            seq_len=256, causal=True,
-        )
-    elif isinstance(model_name, TransformerConfig):
-        model = model_name
-    else:
-        model = serving_config(model_name)
+    model = _serving_model(model_name)
     requests = shared_prefix_decode_batch(
         model, batch_size, prefix_len=prefix_tokens,
         suffix_len=suffix_tokens, max_new_tokens=max_new_tokens, seed=seed,
@@ -1146,9 +1125,7 @@ def prefix_caching_residency(
             engine, max_active=batch_size, paged=True, block_size=bs,
             prefix_caching=prefix,
         )
-        t0 = time.perf_counter()
-        batch = scheduler.run(requests, meta=metas)
-        return batch, time.perf_counter() - t0
+        return _timed(lambda: scheduler.run(requests, meta=metas))
 
     if warmup:
         engine.generate(requests[0])
@@ -1160,17 +1137,10 @@ def prefix_caching_residency(
     cached, t_cached = run_path(True)
 
     for label, batch in (("uncached", plain), ("prefix-cached", cached)):
-        for i, (ref, got) in enumerate(zip(solo, batch.results)):
-            if (
-                not np.array_equal(got.generated, ref.generated)
-                or got.vector_cycles != ref.vector_cycles
-                or got.counters.as_dict() != ref.counters.as_dict()
-            ):
-                raise RuntimeError(
-                    f"{label} scheduling diverged from one-at-a-time "
-                    f"decode on request {i}: the bit-exact contract is "
-                    "broken"
-                )
+        _check_solo_equivalence(
+            f"{label} scheduling", "one-at-a-time decode", solo,
+            batch.results,
+        )
     paging = cached.paging
     assert paging is not None and plain.paging is not None
     if paging["prefix_hits"] == 0:
@@ -1271,41 +1241,16 @@ def speculative_decode_speedup(
     tokens/sec, overlay cycles/token, the measured acceptance rate and
     committed tokens per pass.
     """
-    import time
-
-    import numpy as np
-
     from repro.core.decode import ContinuousBatchScheduler
     from repro.core.session import NovaSession
     from repro.core.speculative import SpeculativeDecodeEngine
-    from repro.workloads.bert import serving_config, speculative_decode_batch
-    from repro.workloads.transformer import TransformerConfig
+    from repro.workloads.bert import speculative_decode_batch
 
-    if max_new_tokens < 1:
-        raise ValueError(
-            "speculative_decode_speedup measures tokens/sec over generated "
-            f"tokens, so max_new_tokens must be >= 1 (got {max_new_tokens})"
-        )
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
+    _require_tokens("speculative_decode_speedup", max_new_tokens)
+    cfg, seed = _config_and_seed(config, seed)
     if spec_k is None:
         spec_k = cfg.spec_k
-    if model_name is None:
-        # GPT-2 family shape scaled down (same rationale as the other
-        # decode harnesses: at full width numpy GEMVs dominate every
-        # path and the harness would measure numpy, not the serving
-        # machinery).
-        model = TransformerConfig(
-            "gpt2-mini", layers=1, hidden=64, heads=4, intermediate=256,
-            seq_len=256, causal=True,
-        )
-    elif isinstance(model_name, TransformerConfig):
-        model = model_name
-    else:
-        model = serving_config(model_name)
+    model = _serving_model(model_name)
     requests, draft_factory = speculative_decode_batch(
         model, batch_size, acceptance_rate=acceptance_rate,
         prompt_len=prompt_len, max_new_tokens=max_new_tokens, seed=seed,
@@ -1320,36 +1265,24 @@ def speculative_decode_speedup(
             engine, max_active=max_active, speculative=True,
             spec_k=spec_k, draft_factory=draft_factory,
         )
-        t0 = time.perf_counter()
-        batch = scheduler.run(requests)
-        return batch, time.perf_counter() - t0
+        return _timed(lambda: scheduler.run(requests))
 
     if warmup:
         engine.generate(requests[0])
         speculator.generate(requests[0], draft=draft_factory())
         run_scheduler()
 
-    t0 = time.perf_counter()
-    plain = [engine.generate(r) for r in requests]
-    t_plain = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    solo = [speculator.generate(r, draft=draft_factory()) for r in requests]
-    t_solo = time.perf_counter() - t0
-
+    plain, t_plain = _timed(lambda: [engine.generate(r) for r in requests])
+    solo, t_solo = _timed(lambda: [
+        speculator.generate(r, draft=draft_factory()) for r in requests
+    ])
     batch, t_batched = run_scheduler()
 
     for label, results in (("solo", solo), ("batched", batch.results)):
-        for i, (ref, got) in enumerate(zip(plain, results)):
-            if (
-                not np.array_equal(got.generated, ref.generated)
-                or got.sequential_vector_cycles != ref.vector_cycles
-            ):
-                raise RuntimeError(
-                    f"speculative decode ({label}) diverged from plain "
-                    f"generate on request {i}: the bit-exact contract is "
-                    "broken"
-                )
+        _check_solo_equivalence(
+            f"speculative decode ({label})", "plain generate", plain,
+            results,
+        )
 
     tokens = sum(r.n_generated for r in plain)
     plain_cycles = sum(r.vector_cycles for r in plain)
@@ -1467,43 +1400,23 @@ def tree_speculation_speedup(
     linear chain.
     """
     import itertools
-    import time
-
-    import numpy as np
 
     from repro.core.decode import ContinuousBatchScheduler
     from repro.core.session import NovaSession
     from repro.core.speculative import DraftTree, TruncatedTableDraft
-    from repro.workloads.bert import decode_batch, serving_config
-    from repro.workloads.transformer import TransformerConfig
+    from repro.workloads.bert import decode_batch
 
-    if max_new_tokens < 1:
-        raise ValueError(
-            "tree_speculation_speedup measures tokens/sec over generated "
-            f"tokens, so max_new_tokens must be >= 1 (got {max_new_tokens})"
-        )
+    _require_tokens("tree_speculation_speedup", max_new_tokens)
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity must be in [0, 1], got {fidelity}")
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
+    cfg, seed = _config_and_seed(config, seed)
     if spec_tree is None:
         spec_tree = cfg.spec_tree if cfg.spec_tree is not None else "4x1,2x1,1x1"
     tree = DraftTree.parse(spec_tree)
     # the linear baseline stakes exactly as many provisional tokens per
     # pass as the tree has nodes: same budget, different shape
     spec_k = tree.max_nodes
-    if model_name is None:
-        model = TransformerConfig(
-            "gpt2-mini", layers=1, hidden=64, heads=4, intermediate=256,
-            seq_len=256, causal=True,
-        )
-    elif isinstance(model_name, TransformerConfig):
-        model = model_name
-    else:
-        model = serving_config(model_name)
+    model = _serving_model(model_name)
     requests = decode_batch(
         model, batch_size, prompt_len=prompt_len,
         max_new_tokens=max_new_tokens, seed=seed,
@@ -1525,9 +1438,7 @@ def tree_speculation_speedup(
                 cfg, fidelity=fidelity, seed=next(draft_seeds)
             ),
         )
-        t0 = time.perf_counter()
-        batch = scheduler.run(requests)
-        return batch, time.perf_counter() - t0
+        return _timed(lambda: scheduler.run(requests))
 
     if warmup:
         run_scheduler(None)
@@ -1537,13 +1448,10 @@ def tree_speculation_speedup(
     treed, t_tree = run_scheduler(spec_tree)
 
     for label, batch in (("linear", linear), ("tree", treed)):
-        for i, (ref, got) in enumerate(zip(plain, batch.results)):
-            if not np.array_equal(got.generated, ref.generated):
-                raise RuntimeError(
-                    f"speculative decode ({label}) diverged from plain "
-                    f"generate on request {i}: the bit-exact contract is "
-                    "broken"
-                )
+        _check_solo_equivalence(
+            f"speculative decode ({label})", "plain generate", plain,
+            batch.results,
+        )
 
     tokens = sum(r.n_generated for r in plain)
     result = ExperimentResult(
@@ -1623,8 +1531,6 @@ def serving_slo_comparison(
     request from head-of-line-blocking a crowd of short ones, which
     collapses p50/p99 TTFT and raises goodput at the same slot budget.
     """
-    import numpy as np
-
     from repro.core.session import NovaSession
     from repro.serving.arrivals import (
         build_trace,
@@ -1688,17 +1594,9 @@ def serving_slo_comparison(
             pool_blocks=pool_blocks,
         )
         report = door.serve(trace)
-        for rid, got in door.last_results().items():
-            ref = solo[rid]
-            if (
-                not np.array_equal(got.generated, ref.generated)
-                or got.vector_cycles != ref.vector_cycles
-                or got.counters.as_dict() != ref.counters.as_dict()
-            ):
-                raise RuntimeError(
-                    f"policy {name!r} diverged from solo generate on "
-                    f"request {rid}: the bit-exact contract is broken"
-                )
+        _check_solo_equivalence(
+            f"policy {name!r}", "solo generate", solo, door.last_results()
+        )
         result.rows.append(
             [
                 report.policy,

@@ -1,5 +1,8 @@
 """Tests for the experiment harness (table/figure regeneration)."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.eval import paper_data
@@ -280,3 +283,126 @@ class TestCli:
         assert main(["all"]) == 0
         out = capsys.readouterr().out
         assert "Fig 8" in out and "Table I:" not in out
+
+
+# ----------------------------------------------------------------------
+# The serving experiments' shared solo-equivalence check.
+# ----------------------------------------------------------------------
+
+
+def _nudged(array):
+    out = np.array(array, copy=True)
+    out.flat[0] = np.nextafter(out.flat[0], np.inf)
+    return out
+
+
+def _bumped(counters):
+    out = counters.snapshot()
+    out.add("mac_op")
+    return out
+
+
+#: One perturbation per field the check compares.
+PERTURB = {
+    "generated": lambda r: replace(r, generated=_nudged(r.generated)),
+    "prefill.outputs": lambda r: replace(
+        r, prefill=replace(r.prefill, outputs=_nudged(r.prefill.outputs))
+    ),
+    "outputs": lambda r: replace(r, outputs=_nudged(r.outputs)),
+    "vector_cycles": lambda r: replace(r, vector_cycles=r.vector_cycles + 1),
+    "counters": lambda r: replace(r, counters=_bumped(r.counters)),
+    "sequential_vector_cycles": lambda r: replace(
+        r, sequential_vector_cycles=r.sequential_vector_cycles + 1
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def solo_pairs():
+    """(references, results) per result kind, two requests each: plain
+    and speculative decode against plain generate, batched attention
+    against the sequential engine."""
+    from repro.core.config import NovaConfig
+    from repro.core.session import NovaSession
+    from repro.core.speculative import (
+        SpeculativeDecodeEngine,
+        TruncatedTableDraft,
+    )
+    from repro.workloads.bert import bert_attention_batch
+    from repro.workloads.transformer import TransformerConfig, decode_request
+
+    cfg = NovaConfig(n_routers=2, neurons_per_router=8)
+    session = NovaSession(cfg)
+    model = TransformerConfig(
+        "toy", layers=1, hidden=16, heads=2, intermediate=64, seq_len=32,
+        causal=True,
+    )
+    requests = [
+        decode_request(model, prompt_len=4, max_new_tokens=4, seed=seed)
+        for seed in (0, 1)
+    ]
+    plain = [session.decoder.generate(r) for r in requests]
+    speculator = SpeculativeDecodeEngine(session.decoder, spec_k=2)
+    speculative = [
+        speculator.generate(
+            r, draft=TruncatedTableDraft(cfg, fidelity=0.5, seed=3)
+        )
+        for r in requests
+    ]
+    attention = bert_attention_batch("BERT-tiny", 2, seq_len=[5, 7], seed=2)
+    sequential = [
+        session.reference.attention_layer(
+            r.x, r.wq, r.wk, r.wv, r.wo, n_heads=r.n_heads
+        )
+        for r in attention
+    ]
+    return {
+        "plain": (plain, [session.decoder.generate(r) for r in requests]),
+        "speculative": (plain, speculative),
+        "attention": (
+            sequential, session.server.attention_batch(attention).results
+        ),
+    }
+
+
+@pytest.mark.parametrize("container", ["sequence", "mapping"])
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("plain", None),
+        ("plain", "generated"),
+        ("plain", "prefill.outputs"),
+        ("plain", "vector_cycles"),
+        ("plain", "counters"),
+        ("speculative", None),
+        ("speculative", "generated"),
+        ("speculative", "prefill.outputs"),
+        ("speculative", "sequential_vector_cycles"),
+        ("attention", None),
+        ("attention", "outputs"),
+        ("attention", "vector_cycles"),
+        ("attention", "counters"),
+    ],
+)
+def test_solo_equivalence_check(solo_pairs, kind, field, container):
+    from repro.eval.experiments import _check_solo_equivalence
+
+    refs, results = solo_pairs[kind]
+    results = list(results)
+    if field is not None:
+        results[1] = PERTURB[field](results[1])
+    if container == "mapping":
+        # keyed by request id, as the front door reports results
+        refs = {10 + i: ref for i, ref in enumerate(refs)}
+        results = {10 + i: got for i, got in enumerate(results)}
+        index = 11
+    else:
+        index = 1
+    if field is None:
+        _check_solo_equivalence("the path", "its reference", refs, results)
+        return
+    with pytest.raises(
+        RuntimeError,
+        match=rf"^the path diverged from its reference on request {index}:",
+    ):
+        _check_solo_equivalence("the path", "its reference", refs, results)

@@ -263,7 +263,7 @@ class TestRegistry:
         assert set(BACKENDS) == set(KERNEL_BACKENDS)
 
     def test_unknown_backend_lists_the_registry(self):
-        with pytest.raises(ValueError, match="jax.*loopback.*numba.*numpy"):
+        with pytest.raises(ValueError, match="loopback.*numba.*numpy"):
             resolve_backend("bogus")
 
     def test_numpy_and_loopback_always_available(self):
@@ -275,7 +275,7 @@ class TestRegistry:
     def test_resolved_instances_are_memoised(self):
         assert resolve_backend("numpy") is resolve_backend("numpy")
 
-    @pytest.mark.parametrize("missing", ["numba", "jax"])
+    @pytest.mark.parametrize("missing", ["numba"])
     def test_missing_optional_dep_degrades_to_numpy(self, missing):
         if missing in INSTALLED:
             pytest.skip(f"{missing} is installed in this process")
@@ -307,6 +307,13 @@ class TestSurface:
             NovaConfig(n_routers=2, neurons_per_router=8,
                        kernel_backend="bogus")
 
+    def test_config_rejects_retired_jax_backend(self):
+        with pytest.raises(
+            ValueError, match=r"'jax'.*\['loopback', 'numba', 'numpy'\]"
+        ):
+            NovaConfig(n_routers=2, neurons_per_router=8,
+                       kernel_backend="jax")
+
     def test_config_rejects_non_string_backend(self):
         with pytest.raises(TypeError):
             NovaConfig(n_routers=2, neurons_per_router=8, kernel_backend=3)
@@ -322,13 +329,13 @@ class TestSurface:
         assert unit.backend.name == "loopback"
 
     def test_unavailable_backend_resolves_to_numpy_on_the_unit(self):
-        if "jax" in INSTALLED:
-            pytest.skip("jax is installed in this process")
-        kernels._INSTANCES.pop("jax", None)
+        if "numba" in INSTALLED:
+            pytest.skip("numba is installed in this process")
+        kernels._INSTANCES.pop("numba", None)
         with pytest.warns(RuntimeWarning, match="falling back"):
-            unit = make_unit(SMALL.replace(kernel_backend="jax"))
+            unit = make_unit(SMALL.replace(kernel_backend="numba"))
         assert unit.backend.name == "numpy"
-        kernels._INSTANCES.pop("jax", None)
+        kernels._INSTANCES.pop("numba", None)
 
     def test_session_cache_info_surfaces_kernel_stats(self):
         session = NovaSession(SMALL)

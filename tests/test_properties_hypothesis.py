@@ -21,7 +21,7 @@ than hand-picked cases:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.approx.softmax import exact_softmax
 from repro.core.config import NovaConfig
@@ -246,6 +246,12 @@ def cache_scenarios(draw):
 
 class TestPagedCacheEquivalenceProperties:
     @given(scenario=cache_scenarios())
+    @example(
+        scenario=(
+            1, 1, 2, None, 2,
+            [("append",), ("append",), ("evict", 1), ("append",)], 0,
+        )
+    )
     @settings(max_examples=80, deadline=None)
     def test_paged_cache_mirrors_contiguous_cache(self, scenario):
         """Any program of appends, evictions and resets leaves the paged
@@ -254,16 +260,14 @@ class TestPagedCacheEquivalenceProperties:
         n_heads, head_dim, capacity, window, block_size, ops, seed = scenario
         rng = np.random.default_rng(seed)
         ref = KVCache(n_heads, head_dim, capacity, window=window)
-        # Size the pool for the true worst case: a windowless cache
-        # tops out at capacity tokens, but a windowed one accepts
-        # unbounded appends and can straddle one extra block while the
-        # head offset walks through its first block.
-        n_blocks = (
-            blocks_needed(capacity, block_size)
-            if window is None
-            else blocks_needed(window, block_size) + 1
-        )
-        pool = BlockPool(n_heads, head_dim, block_size, n_blocks=n_blocks)
+        # Size the pool for the true worst case: at most capacity (or
+        # window) tokens are live, and once the program has evicted
+        # from the head — windowless caches may evict too — they can
+        # straddle one extra block while the head offset walks through
+        # the first block.
+        live = capacity if window is None else window
+        bound = blocks_needed(live, block_size) + 1
+        pool = BlockPool(n_heads, head_dim, block_size, n_blocks=bound)
         paged = PagedKVCache(pool, capacity, window=window)
         from repro.core.decode import KVCacheOverflow
 
@@ -303,7 +307,7 @@ class TestPagedCacheEquivalenceProperties:
                     ref.values_snapshot(ref.length),
                     paged.values_snapshot(paged.length),
                 )
-            assert paged.blocks_in_use <= pool.n_blocks
+            assert paged.blocks_in_use <= bound
             assert pool.in_use == paged.blocks_in_use
             assert (
                 pool.blocks_allocated - pool.blocks_freed == pool.in_use
